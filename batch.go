@@ -5,7 +5,6 @@ import (
 	"errors"
 	"io"
 
-	"smp/internal/core"
 	"smp/internal/corpus"
 	"smp/internal/pipeline"
 )
@@ -63,12 +62,11 @@ func WithBatchIndex(job BatchJob, sidecarFor string) BatchJob {
 }
 
 // Batch shards a corpus of documents across a pool of worker goroutines
-// driving one compiled Prefilter. Every worker gets a private engine built
-// over the prefilter's immutable plan, so K workers hold one copy of the
-// compiled tables (matchers, interned tags, vocabulary orders) and only the
-// window buffers are per-worker. This is the inter-document axis of
-// parallelism; combine it with Project's WithWorkers for the intra-document
-// axis.
+// driving one compiled Prefilter (or MultiPrefilter). Every worker runs the
+// same immutable engine, so K workers hold one copy of the compiled tables
+// (matchers, interned tags, vocabulary orders, scan tables) and only the
+// segment buffers are per-run. This is the inter-document axis of
+// parallelism; combine it with IntraWorkers for the intra-document axis.
 //
 // The zero value of Workers selects runtime.GOMAXPROCS(0). A Batch value is
 // immutable configuration; Run may be called many times and concurrently.
@@ -90,8 +88,8 @@ type Batch struct {
 	// a batch can combine inter-document and intra-document parallelism.
 	// Documents smaller than the parallel threshold keep the serial scan.
 	IntraWorkers int
-	// ChunkSize overrides the streaming window chunk size of every job in
-	// the batch; 0 keeps the prefilter's compiled value.
+	// ChunkSize overrides the chunk size of every job in the batch; 0 keeps
+	// the prefilter's compiled value.
 	ChunkSize int
 }
 
@@ -99,21 +97,15 @@ type Batch struct {
 // results (in job order) plus the batch aggregate. Jobs that fail do not
 // stop the batch; their error is recorded in their BatchResult. Cancelling
 // ctx marks not-yet-started jobs with ctx.Err() and aborts in-flight jobs
-// at their next chunk boundary, so a cancelled batch drains promptly.
+// at their next segment boundary, so a cancelled batch drains promptly.
 func (b *Batch) Run(ctx context.Context, jobs []BatchJob) ([]BatchResult, BatchAggregate) {
-	if b.Multi != nil {
-		// A MultiPrefilter is immutable and safe for concurrent use, so every
-		// worker can drive the same merged scan tables; only the per-run
-		// segment chain is private to each in-flight job.
-		multi := b.Multi.multi
-		opts := pipeline.Options{Workers: b.IntraWorkers, ChunkSize: b.ChunkSize}
-		runner := corpus.Runner{
-			NewMultiEngine: func() corpus.MultiEngine { return multiBatchEngine{multi, opts} },
-			Workers:        b.Workers,
-		}
-		return runner.Run(ctx, jobs)
-	}
-	if b.Prefilter == nil {
+	eng := batchEngine{cfg: projectConfig{workers: b.IntraWorkers, chunkSize: b.ChunkSize}}
+	switch {
+	case b.Multi != nil:
+		eng.eng, eng.multi = b.Multi.multi, true
+	case b.Prefilter != nil:
+		eng.eng = b.Prefilter.eng
+	default:
 		results := make([]BatchResult, len(jobs))
 		err := errors.New("smp: Batch needs a Prefilter or a Multi")
 		for i, job := range jobs {
@@ -121,93 +113,28 @@ func (b *Batch) Run(ctx context.Context, jobs []BatchJob) ([]BatchResult, BatchA
 		}
 		return results, BatchAggregate{Documents: len(jobs), Failed: len(jobs)}
 	}
-	if b.IntraWorkers > 1 {
-		// Both axes at once: the shared K=1 pipeline engine is immutable, so
-		// every batch worker can drive it concurrently; each job fans its
-		// document scan out across IntraWorkers segment scanners.
-		eng := b.Prefilter.projector()
-		opts := pipeline.Options{Workers: b.IntraWorkers, ChunkSize: b.ChunkSize}
-		runner := corpus.Runner{
-			NewEngine: func() corpus.Engine { return intraBatchEngine{eng, opts} },
-			Workers:   b.Workers,
-		}
-		return runner.Run(ctx, jobs)
-	}
-	plan := b.Prefilter.engine.Plan()
-	chunk := b.ChunkSize
-	pipe := b.Prefilter.projector()
-	runner := corpus.Runner{
-		NewEngine: func() corpus.Engine { return batchEngine{core.NewFromPlan(plan), chunk, pipe} },
-		Workers:   b.Workers,
-	}
+	runner := corpus.Runner{Engine: eng, Workers: b.Workers}
 	return runner.Run(ctx, jobs)
 }
 
-// batchEngine adapts a shared-plan core engine to the corpus runner,
-// carrying the batch's chunk-size override into every run. Jobs with a
-// sidecar loader route through the prefilter's shared pipeline engine, which
-// owns the replay stage.
+// batchEngine adapts a pipeline engine — a MultiPrefilter's merged one, or
+// a Prefilter's K=1 one — to the corpus runner: every job is one Project or
+// MultiProject run with the batch's worker and chunk-size overrides. The
+// engine is immutable, so every batch worker drives it concurrently.
 type batchEngine struct {
-	pf    *core.Prefilter
-	chunk int
-	pipe  *pipeline.Engine
+	eng   *pipeline.Engine
+	cfg   projectConfig
+	multi bool
 }
 
-func (e batchEngine) Project(ctx context.Context, dst io.Writer, src io.Reader) (core.Stats, error) {
-	return e.pf.ProjectWith(ctx, dst, src, core.RunOptions{ChunkSize: e.chunk})
-}
+func (e batchEngine) Multi() bool { return e.multi }
 
-func (e batchEngine) ProjectIndexed(ctx context.Context, dst io.Writer, src io.Reader, ix *Index) (core.Stats, error) {
-	if ix == nil {
-		st, err := e.Project(ctx, dst, src)
-		st.IndexSkips = 1
-		return st, err
+func (e batchEngine) Project(ctx context.Context, dsts []io.Writer, src io.Reader, ix *Index) ([]Stats, Stats, error) {
+	cfg := e.cfg
+	cfg.index = ix
+	res, err := run(ctx, e.eng, dsts, src, cfg, nil)
+	if !e.multi {
+		err = singleQueryErr(err)
 	}
-	res, err := replayOrScan(ctx, e.pipe, []io.Writer{dst}, src, ix, pipeline.Options{ChunkSize: e.chunk})
-	return res.Aggregate(), singleQueryErr(err)
-}
-
-// intraBatchEngine adapts the K=1 pipeline engine to the corpus runner for
-// batches that also fan out within each document.
-type intraBatchEngine struct {
-	eng  *pipeline.Engine
-	opts pipeline.Options
-}
-
-func (e intraBatchEngine) Project(ctx context.Context, dst io.Writer, src io.Reader) (core.Stats, error) {
-	res, err := e.eng.Project(ctx, []io.Writer{dst}, src, e.opts)
-	return res.Aggregate(), singleQueryErr(err)
-}
-
-func (e intraBatchEngine) ProjectIndexed(ctx context.Context, dst io.Writer, src io.Reader, ix *Index) (core.Stats, error) {
-	if ix == nil {
-		st, err := e.Project(ctx, dst, src)
-		st.IndexSkips = 1
-		return st, err
-	}
-	res, err := replayOrScan(ctx, e.eng, []io.Writer{dst}, src, ix, e.opts)
-	return res.Aggregate(), singleQueryErr(err)
-}
-
-// multiBatchEngine adapts a merged multi-query projection to the corpus
-// runner, carrying the batch's worker and chunk-size overrides into every
-// run.
-type multiBatchEngine struct {
-	m    *pipeline.Engine
-	opts pipeline.Options
-}
-
-func (e multiBatchEngine) MultiProject(ctx context.Context, dsts []io.Writer, src io.Reader) ([]core.Stats, core.Stats, error) {
-	res, err := e.m.Project(ctx, dsts, src, e.opts)
-	return res.Query, res.Aggregate(), err
-}
-
-func (e multiBatchEngine) MultiProjectIndexed(ctx context.Context, dsts []io.Writer, src io.Reader, ix *Index) ([]core.Stats, core.Stats, error) {
-	if ix == nil {
-		query, run, err := e.MultiProject(ctx, dsts, src)
-		run.IndexSkips = 1
-		return query, run, err
-	}
-	res, err := replayOrScan(ctx, e.m, dsts, src, ix, e.opts)
 	return res.Query, res.Aggregate(), err
 }

@@ -16,7 +16,6 @@ import (
 
 	"smp/internal/compile"
 	"smp/internal/core"
-	"smp/internal/corpus"
 	"smp/internal/dtd"
 	"smp/internal/paths"
 	"smp/internal/pipeline"
@@ -335,7 +334,7 @@ func itoa(n int) string {
 }
 
 // BenchmarkCorpusParallel measures aggregate corpus throughput: a batch of
-// distinct XMark-like documents sharded across the worker-pool runner at
+// distinct XMark-like documents sharded across Batch's worker pool at
 // 1, 2, 4 and 8 workers, all sharing one compiled, goroutine-safe engine.
 // On a multicore machine the aggregate bytes/s scale close to linearly with
 // the worker count until the memory bus saturates; the serial (workers_1)
@@ -343,23 +342,25 @@ func itoa(n int) string {
 func BenchmarkCorpusParallel(b *testing.B) {
 	benchSetup(b)
 	q, _ := xmlgen.QueryByID("XM13")
-	table := compileFor(b, benchXMarkDTD, q.Paths, compile.Options{})
-	engine := core.New(table, core.Options{})
+	pf, err := Compile(xmlgen.XMarkDTD(), q.Paths, Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
 
 	const corpusDocs = 16
 	const docSize = 512 << 10
-	jobs := make([]corpus.Job, corpusDocs)
+	jobs := make([]BatchJob, corpusDocs)
 	var total int64
 	for i := range jobs {
 		doc := xmlgen.XMarkBytes(xmlgen.Config{TargetSize: docSize, Seed: uint64(i + 1)})
 		total += int64(len(doc))
-		jobs[i] = corpus.FromBytes("doc"+strconv.Itoa(i), doc)
+		jobs[i] = BatchFromBytes("doc"+strconv.Itoa(i), doc)
 	}
 
 	for _, workers := range []int{1, 2, 4, 8} {
 		workers := workers
 		b.Run("workers_"+strconv.Itoa(workers), func(b *testing.B) {
-			runner := corpus.Runner{Engine: engine, Workers: workers}
+			runner := Batch{Prefilter: pf, Workers: workers}
 			b.SetBytes(total)
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -444,45 +445,6 @@ func BenchmarkIntraDocStreaming(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := projector.Project(context.Background(), nil, newSliceReader(benchXMarkDoc), pipeline.Options{Workers: workers}); err != nil {
 					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkCorpusPerWorkerEngines is the NewEngine variant: every worker
-// owns a private engine (its own buffer pool), while all engines share one
-// compiled plan — private hot-path state, one copy of the tables.
-func BenchmarkCorpusPerWorkerEngines(b *testing.B) {
-	benchSetup(b)
-	q, _ := xmlgen.QueryByID("XM13")
-	table := compileFor(b, benchXMarkDTD, q.Paths, compile.Options{})
-	plan := core.NewPlan(table, core.Options{})
-
-	const corpusDocs = 16
-	const docSize = 512 << 10
-	jobs := make([]corpus.Job, corpusDocs)
-	var total int64
-	for i := range jobs {
-		doc := xmlgen.XMarkBytes(xmlgen.Config{TargetSize: docSize, Seed: uint64(i + 1)})
-		total += int64(len(doc))
-		jobs[i] = corpus.FromBytes("doc"+strconv.Itoa(i), doc)
-	}
-
-	for _, workers := range []int{1, 4} {
-		workers := workers
-		b.Run("workers_"+strconv.Itoa(workers), func(b *testing.B) {
-			runner := corpus.Runner{
-				NewEngine: func() corpus.Engine { return core.NewFromPlan(plan) },
-				Workers:   workers,
-			}
-			b.SetBytes(total)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				_, agg := runner.Run(context.Background(), jobs)
-				if agg.Failed != 0 {
-					b.Fatal("batch failed")
 				}
 			}
 		})

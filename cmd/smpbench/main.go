@@ -49,7 +49,7 @@
 //
 //	smpbench -index -xmark 16MiB -queries XM13,M4
 //
-// Every benchmark mode verifies byte-identity against the serial engine
+// Every benchmark mode verifies byte-identity against the serial run
 // before timing and exits non-zero on any mismatch, so the harness doubles
 // as a correctness gate. With -json FILE the modes append one trajectory
 // point {rev, date, note, records} to FILE, where each record is
@@ -111,7 +111,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		parallel    = fs.Int("parallel", 0, "corpus mode: shard a batch of documents across N workers (0 = run the paper experiments)")
 		docs        = fs.Int("docs", 16, "corpus mode: number of generated documents in the batch")
 		coldstart   = fs.Bool("coldstart", false, "cold-start mode: report compile, first-run and steady-state time per query")
-		intra       = fs.Int("intra", 0, "intra-document mode: split one document across N scan workers and compare against the serial engine (0 = off)")
+		intra       = fs.Int("intra", 0, "intra-document mode: split one document across N scan workers and compare against the serial run (0 = off)")
 		multi       = fs.Int("multi", 0, "multi-query mode: project one document for K queries in one shared scan and compare against K independent passes (0 = off); combine with -intra for the K×W grid")
 		scanMode    = fs.Bool("scan", false, "scan-kernel mode: measure raw candidate-scan throughput (SWAR, scalar reference, memchr bandwidth reference)")
 		indexMode   = fs.Bool("index", false, "index mode: build each query's candidate-index sidecar once, then compare repeated replay against repeated rescanning (byte-identical, then timed)")
@@ -379,8 +379,8 @@ func (nopWriteCloser) Close() error { return nil }
 
 // runCorpus is the -parallel mode: it generates a batch of XMark-like
 // documents, verifies that a worker pool run (the public smp.Batch API,
-// workers sharing one compiled plan) produces byte-identical output to the
-// serial engine on every document, then prefilters the batch serially and
+// workers sharing one compiled plan) produces byte-identical output to a
+// serial Project on every document, then prefilters the batch serially and
 // with the pool and reports the aggregate throughput of both plus the
 // speedup.
 func runCorpus(ctx context.Context, workers, docCount int, cfg experiments.Config, blog *benchLog) (*stats.Table, error) {
@@ -430,7 +430,7 @@ func runCorpus(ctx context.Context, workers, docCount int, cfg experiments.Confi
 	}
 	for i := range got {
 		if !bytes.Equal(got[i].Bytes(), want[i]) {
-			return nil, fmt.Errorf("document doc%02d: %d-worker batch output differs from the serial engine (%d vs %d bytes)",
+			return nil, fmt.Errorf("document doc%02d: %d-worker batch output differs from the serial run (%d vs %d bytes)",
 				i, workers, got[i].Len(), len(want[i]))
 		}
 	}
@@ -462,13 +462,13 @@ func runCorpus(ctx context.Context, workers, docCount int, cfg experiments.Confi
 			break // -parallel 1: the serial row is the whole story
 		}
 	}
-	t.AddNote("%s", "pooled output verified byte-identical to the serial engine on every document before timing")
+	t.AddNote("%s", "pooled output verified byte-identical to the serial run on every document before timing")
 	return t, nil
 }
 
 // runIntraDoc is the -intra mode: it generates one document, prefilters it
-// with the serial engine and with the unified pipeline at increasing
-// segment-scan worker counts (the Project API with WithWorkers), verifies
+// serially and at increasing segment-scan worker counts (the Project API
+// with WithWorkers), verifies
 // the parallel output is byte-identical, and reports the single-stream
 // throughput and speedup of each configuration.
 func runIntraDoc(ctx context.Context, workers int, cfg experiments.Config, blog *benchLog) (*stats.Table, error) {
@@ -532,7 +532,7 @@ func runIntraDoc(ctx context.Context, workers int, cfg experiments.Config, blog 
 			stats.FormatRatio(float64(serialElapsed), float64(best)),
 		)
 	}
-	t.AddNote("%s", "parallel output verified byte-identical to the serial engine; speedup needs real cores — on a single-CPU container the pipeline is expected to run flat at best")
+	t.AddNote("%s", "parallel output verified byte-identical to the serial run; speedup needs real cores — on a single-CPU container the pipeline is expected to run flat at best")
 	return t, nil
 }
 

@@ -448,7 +448,7 @@ func (s *server) handleProject(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Trailer", "X-SMP-Bytes-Read, X-SMP-Bytes-Written, X-SMP-Char-Comparisons, X-SMP-Tags-Matched")
 	// Count an intra-document run only if the body is also large enough for
 	// the split pipeline itself — below pf.MinParallelInput, WithWorkers
-	// silently falls back to the serial engine and /stats must not claim a
+	// silently falls back to the serial scan and /stats must not claim a
 	// parallel run.
 	var opts []smp.ProjectOption
 	if s.intraWorkers > 1 && srcSize >= s.intraMin &&

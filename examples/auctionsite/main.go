@@ -37,7 +37,7 @@ func main() {
 	selected := map[string]bool{"XM1": true, "XM6": true, "XM13": true, "XM14": true, "XM20": true}
 
 	fmt.Printf("\n%-6s %12s %10s %12s %12s  %s\n",
-		"query", "output", "kept", "inspected", "avg shift", "description")
+		"query", "output", "kept", "scan comp.", "avg shift", "description")
 	for _, q := range queries {
 		if !selected[q.ID] {
 			continue

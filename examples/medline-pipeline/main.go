@@ -60,7 +60,7 @@ func main() {
 
 	fmt.Printf("document size       : %d bytes\n", stats.BytesRead)
 	fmt.Printf("projected stream    : %d bytes (%.2f%% of the input)\n", bytesOut, 100*stats.OutputRatio())
-	fmt.Printf("characters inspected: %.2f%%\n", stats.CharCompPercent())
+	fmt.Printf("scan comparisons    : %.2f%% of the input\n", stats.CharCompPercent())
 	fmt.Printf("citations with a completion date in the projection: %d\n", completed)
 	fmt.Println("\nthe consumer saw only the prefiltered stream; prefilter memory stayed at",
 		stats.MaxBufferBytes, "bytes")

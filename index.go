@@ -39,20 +39,20 @@ func DecodeIndex(data []byte) (*Index, error) { return index.Decode(data) }
 // candidate index, already bound to doc. The index serves this prefilter and
 // any other whose vocabulary is a subset (Covers).
 func (p *Prefilter) BuildIndex(doc []byte) *Index {
-	return index.Build(doc, p.projector().ScanPlan())
+	return index.Build(doc, p.eng.ScanPlan())
 }
 
 // VocabularyFingerprint returns the fingerprint of the prefilter's scan
 // vocabulary — the identity under which a matching index is stored.
 func (p *Prefilter) VocabularyFingerprint() uint64 {
-	return p.projector().ScanPlan().Fingerprint()
+	return p.eng.ScanPlan().Fingerprint()
 }
 
 // IndexCovers reports whether ix can serve this prefilter's runs: every
 // keyword of the compiled scan vocabulary is present in ix's stored
 // vocabulary. A fresh but uncovered index is skipped, not an error.
 func (p *Prefilter) IndexCovers(ix *Index) bool {
-	return ix.Covers(p.projector().ScanPlan())
+	return ix.Covers(p.eng.ScanPlan())
 }
 
 // BuildIndex scans doc once with the merged union vocabulary and returns its

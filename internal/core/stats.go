@@ -7,8 +7,12 @@ import (
 	"smp/internal/stringmatch"
 )
 
-// Stats collects the runtime counters behind the columns of the paper's
-// Tables I and II.
+// Stats collects the runtime counters of one run. The paper's window engine
+// (this package) fills them as the columns of the paper's Tables I and II;
+// the staged driver (internal/pipeline), which serves every public run,
+// fills the same fields for its scan and replay, so its CharComparisons
+// and Shifts count a scan that reads every byte rather than the skips of
+// Boyer-Moore and Commentz-Walter.
 type Stats struct {
 	// BytesRead is the document size in bytes (the window reads everything;
 	// only a fraction is inspected).
@@ -41,10 +45,13 @@ type Stats struct {
 	// MatchersBuilt counts the matcher tables of the shared compiled Plan.
 	// They are built once, at compile time; no run ever constructs one.
 	MatchersBuilt int
-	// MaxBufferBytes is the high-water mark of the streaming window — the
-	// per-run memory. The shared table memory is reported separately by
-	// PlanStats (together they approximate the paper's "Mem" column).
-	// Zero-copy runs hold no private window buffer and report zero.
+	// MaxBufferBytes is the high-water mark of the run's input buffers —
+	// the window engine's streaming window, or the staged driver's live
+	// segments — the per-run memory. The shared table memory is reported
+	// separately by PlanStats (together they approximate the paper's "Mem"
+	// column). Zero-copy window-engine runs hold no private window buffer
+	// and report zero; the staged driver counts the live segments even when
+	// they alias the document.
 	MaxBufferBytes int64
 	// ZeroCopyInput reports that the run scanned the document in place — a
 	// memory-mapped file or a caller-provided byte slice — instead of
@@ -70,9 +77,8 @@ type Stats struct {
 	// projected output to the writers. ScanDuration is always measured on
 	// staged runs; StitchDuration is only measured when a trace is attached
 	// (per-write clock reads are not free), and ReplayDuration is the
-	// remainder — so without a trace it also absorbs the stitch time.
-	// Serial-core runs (single query, no trace, no workers) bypass the
-	// staged driver entirely and leave all three zero.
+	// remainder — so without a trace it also absorbs the stitch time. The
+	// window engine has no stages and leaves all three zero.
 	ScanDuration   time.Duration
 	ReplayDuration time.Duration
 	StitchDuration time.Duration

@@ -16,35 +16,21 @@ import (
 	"smp/internal/stats"
 )
 
-// Engine is the per-document prefiltering interface the runner drives;
-// *core.Prefilter satisfies it directly. The batch context is passed into
-// every run, so cancelling the batch aborts in-flight projections at their
-// next chunk boundary rather than only skipping unstarted jobs.
+// Engine is the per-document projection the runner drives: one document,
+// K merged queries served by one scan (K=1 for a single-query runner), or
+// a replay of ix instead of the scan when ix is non-nil and serves the run
+// (see internal/index). It returns one Stats per query plus the run
+// aggregate; err carries the failures. dsts has one writer per query, and
+// a nil dsts discards every query's output. The batch context is passed
+// into every run, so cancelling the batch aborts in-flight projections at
+// their next segment boundary rather than only skipping unstarted jobs.
+// One Engine serves every worker, so it must be safe for concurrent use.
 type Engine interface {
-	Project(ctx context.Context, dst io.Writer, src io.Reader) (core.Stats, error)
-}
-
-// MultiEngine is the multi-query variant of Engine: one document, K queries,
-// one scan (internal/pipeline). It returns one Stats per query plus the
-// run aggregate; err carries the per-query failures. A nil dsts discards
-// every query's output.
-type MultiEngine interface {
-	MultiProject(ctx context.Context, dsts []io.Writer, src io.Reader) (query []core.Stats, run core.Stats, err error)
-}
-
-// IndexedEngine is the optional capability of an Engine that can serve a
-// job from a persisted candidate index (internal/index). ix may be nil —
-// the job's sidecar was missing or unreadable — in which case the engine
-// must scan and count the fall-back in Stats.IndexSkips.
-type IndexedEngine interface {
-	Engine
-	ProjectIndexed(ctx context.Context, dst io.Writer, src io.Reader, ix *index.Index) (core.Stats, error)
-}
-
-// IndexedMultiEngine is the multi-query variant of IndexedEngine.
-type IndexedMultiEngine interface {
-	MultiEngine
-	MultiProjectIndexed(ctx context.Context, dsts []io.Writer, src io.Reader, ix *index.Index) (query []core.Stats, run core.Stats, err error)
+	// Multi reports whether jobs name per-query destinations (Job.Dsts)
+	// and results carry per-query counters (Result.QueryStats). A
+	// single-query engine takes Job.Dst as its one destination.
+	Multi() bool
+	Project(ctx context.Context, dsts []io.Writer, src io.Reader, ix *index.Index) (query []core.Stats, run core.Stats, err error)
 }
 
 // Job is one document of a batch: a name for reporting, a source, and an
@@ -59,8 +45,9 @@ type Job struct {
 	// output (useful for measurement runs where only the stats matter).
 	Dst func() (io.WriteCloser, error)
 	// Dsts opens the per-query destinations of a multi-query batch (a runner
-	// with NewMultiEngine); it must return one writer per merged query. A nil
-	// Dsts discards every query's output. Single-query runs ignore it.
+	// whose Engine is Multi); it must return one writer per merged query. A
+	// nil Dsts discards every query's output. A single-query runner fails a
+	// job that sets it.
 	Dsts func() ([]io.WriteCloser, error)
 	// Cleanup, if non-nil, is called after a failed run (any error in the
 	// job's Result, including a cancelled context) so file-backed
@@ -68,10 +55,9 @@ type Job struct {
 	Cleanup func()
 	// Index, if non-nil, loads the document's persisted candidate index (a
 	// decoded sidecar, see internal/index). It is called once, by the worker
-	// that picks the job up, and only when the runner's engine supports
-	// indexes (IndexedEngine/IndexedMultiEngine). A load error — the sidecar
-	// was deleted mid-batch, or is corrupt — does not fail the job: the
-	// engine scans instead and counts the fall-back in Stats.IndexSkips.
+	// that picks the job up. A load error — the sidecar was deleted
+	// mid-batch, or is corrupt — does not fail the job: the engine scans
+	// instead and the fall-back counts in Stats.IndexSkips.
 	Index func() (*index.Index, error)
 }
 
@@ -163,21 +149,8 @@ func (a Aggregate) OutputRatio() float64 {
 
 // Runner shards jobs across a fixed pool of workers.
 type Runner struct {
-	// Engine is the shared prefiltering engine. core.Prefilter is
-	// goroutine-safe, so sharing one engine across workers is correct; it is
-	// required unless NewEngine is set.
+	// Engine is the projection every worker runs (required).
 	Engine Engine
-	// NewEngine, if non-nil, is called once per worker so that every worker
-	// owns a private engine instance (no shared mutable state at all on the
-	// hot path). It takes precedence over Engine. Return engines built with
-	// core.NewFromPlan over one shared plan so the workers still hold a
-	// single copy of the compiled tables.
-	NewEngine func() Engine
-	// NewMultiEngine, if non-nil, turns the batch into a multi-query batch:
-	// every job's document is projected for all K merged queries in one scan
-	// (job destinations come from Job.Dsts). It takes precedence over Engine
-	// and NewEngine.
-	NewMultiEngine func() MultiEngine
 	// Workers is the pool size; values < 1 select runtime.GOMAXPROCS(0).
 	Workers int
 }
@@ -187,13 +160,13 @@ type Runner struct {
 // stop the batch; their error is recorded in their Result. If ctx is
 // cancelled, not-yet-started jobs are marked with ctx.Err() and workers
 // drain without running them; in-flight jobs abort at their engine's next
-// chunk boundary and record ctx.Err() in their Result as well.
+// segment boundary and record ctx.Err() in their Result as well.
 func (r *Runner) Run(ctx context.Context, jobs []Job) ([]Result, Aggregate) {
-	if r.Engine == nil && r.NewEngine == nil && r.NewMultiEngine == nil {
+	if r.Engine == nil {
 		// Fail per the API contract (errors live in Results) instead of
 		// panicking on a nil interface inside a worker goroutine.
 		results := make([]Result, len(jobs))
-		err := errors.New("corpus: Runner needs Engine, NewEngine or NewMultiEngine")
+		err := errors.New("corpus: Runner needs an Engine")
 		for i, job := range jobs {
 			results[i] = Result{Name: job.Name, Err: err}
 		}
@@ -213,28 +186,13 @@ func (r *Runner) Run(ctx context.Context, jobs []Job) ([]Result, Aggregate) {
 	start := time.Now()
 
 	for w := 0; w < workers; w++ {
-		if r.NewMultiEngine != nil {
-			multi := r.NewMultiEngine()
-			wg.Add(1)
-			go func(worker int, multi MultiEngine) {
-				defer wg.Done()
-				for i := range indexes {
-					results[i] = runMultiJob(ctx, worker, multi, jobs[i])
-				}
-			}(w, multi)
-			continue
-		}
-		engine := r.Engine
-		if r.NewEngine != nil {
-			engine = r.NewEngine()
-		}
 		wg.Add(1)
-		go func(worker int, engine Engine) {
+		go func(worker int) {
 			defer wg.Done()
 			for i := range indexes {
-				results[i] = runJob(ctx, worker, engine, jobs[i])
+				results[i] = runJob(ctx, worker, r.Engine, jobs[i])
 			}
-		}(w, engine)
+		}(w)
 	}
 
 	for i := range jobs {
@@ -262,70 +220,23 @@ func (r *Runner) Run(ctx context.Context, jobs []Job) ([]Result, Aggregate) {
 	return results, agg
 }
 
-// runJob executes one job on one worker.
+// runJob executes one job on one worker: the document is opened once and
+// projected for every query of the engine in one scan (or one index
+// replay), each query's output going to its own destination.
 func runJob(ctx context.Context, worker int, engine Engine, job Job) Result {
 	res := Result{Name: job.Name, Worker: worker}
 	timer := stats.StartTimer()
 	defer func() { res.Elapsed = timer.Elapsed() }()
 
-	if job.Dsts != nil {
-		// A multi-query job in a single-query batch would silently discard
-		// its per-query outputs; fail it instead.
+	// A job whose destinations do not match the runner would silently
+	// discard its output; fail it instead (a multi-query job with neither
+	// destination is an intentional measurement run).
+	multi := engine.Multi()
+	switch {
+	case !multi && job.Dsts != nil:
 		res.Err = errors.New("corpus: job has multi-query destinations (Dsts) but the runner is single-query")
 		return res
-	}
-	if err := ctx.Err(); err != nil {
-		res.Err = err
-		return res
-	}
-	src, err := job.Src()
-	if err != nil {
-		res.Err = err
-		return res
-	}
-	defer src.Close()
-
-	var dst io.Writer = io.Discard
-	var dstCloser io.Closer
-	if job.Dst != nil {
-		wc, err := job.Dst()
-		if err != nil {
-			res.Err = err
-			return res
-		}
-		dst = wc
-		dstCloser = wc
-	}
-
-	if ie, ok := engine.(IndexedEngine); ok && job.Index != nil {
-		ix, _ := job.Index() // nil on load failure: the engine scans and counts the skip
-		res.Stats, res.Err = ie.ProjectIndexed(ctx, dst, src, ix)
-	} else {
-		res.Stats, res.Err = engine.Project(ctx, dst, src)
-	}
-	if dstCloser != nil {
-		if cerr := dstCloser.Close(); res.Err == nil {
-			res.Err = cerr
-		}
-	}
-	if res.Err != nil && job.Cleanup != nil {
-		job.Cleanup()
-	}
-	return res
-}
-
-// runMultiJob executes one multi-query job on one worker: the document is
-// opened once, projected for every merged query in one scan, and each
-// query's output goes to its own destination from Job.Dsts.
-func runMultiJob(ctx context.Context, worker int, engine MultiEngine, job Job) Result {
-	res := Result{Name: job.Name, Worker: worker}
-	timer := stats.StartTimer()
-	defer func() { res.Elapsed = timer.Elapsed() }()
-
-	if job.Dsts == nil && job.Dst != nil {
-		// A single-destination job in a multi-query batch would silently
-		// discard every query's output; fail it instead (a job with neither
-		// destination is an intentional measurement run).
+	case multi && job.Dsts == nil && job.Dst != nil:
 		res.Err = errors.New("corpus: job has a single destination (Dst) but the runner is multi-query; use Dsts")
 		return res
 	}
@@ -342,7 +253,19 @@ func runMultiJob(ctx context.Context, worker int, engine MultiEngine, job Job) R
 
 	var dsts []io.Writer
 	var closers []io.Closer
-	if job.Dsts != nil {
+	switch {
+	case !multi:
+		dsts = []io.Writer{nil} // a nil writer discards the output
+		if job.Dst != nil {
+			wc, err := job.Dst()
+			if err != nil {
+				res.Err = err
+				return res
+			}
+			dsts[0] = wc
+			closers = append(closers, wc)
+		}
+	case job.Dsts != nil:
 		wcs, err := job.Dsts()
 		if err != nil {
 			res.Err = err
@@ -358,11 +281,17 @@ func runMultiJob(ctx context.Context, worker int, engine MultiEngine, job Job) R
 		}
 	}
 
-	if ie, ok := engine.(IndexedMultiEngine); ok && job.Index != nil {
-		ix, _ := job.Index() // nil on load failure: the engine scans and counts the skip
-		res.QueryStats, res.Stats, res.Err = ie.MultiProjectIndexed(ctx, dsts, src, ix)
-	} else {
-		res.QueryStats, res.Stats, res.Err = engine.MultiProject(ctx, dsts, src)
+	var ix *index.Index
+	if job.Index != nil {
+		ix, _ = job.Index() // nil on load failure: the engine scans
+	}
+	query, run, err := engine.Project(ctx, dsts, src, ix)
+	if job.Index != nil && ix == nil {
+		run.IndexSkips = 1
+	}
+	res.Stats, res.Err = run, err
+	if multi {
+		res.QueryStats = query
 	}
 	for _, c := range closers {
 		if cerr := c.Close(); res.Err == nil {

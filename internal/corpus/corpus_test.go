@@ -1,4 +1,4 @@
-package corpus
+package corpus_test
 
 import (
 	"bytes"
@@ -14,13 +14,15 @@ import (
 
 	"smp/internal/compile"
 	"smp/internal/core"
+	"smp/internal/corpus"
 	"smp/internal/dtd"
 	"smp/internal/paths"
+	"smp/internal/pipeline"
 	"smp/internal/xmlgen"
 )
 
-// testEngine compiles the XM13-style query over the XMark-like DTD.
-func testEngine(t testing.TB) *core.Prefilter {
+// testPlan compiles the XM13-style query over the XMark-like DTD.
+func testPlan(t testing.TB) *core.Plan {
 	t.Helper()
 	schema := dtd.MustParse(xmlgen.XMarkDTD())
 	q, ok := xmlgen.QueryByID("XM13")
@@ -31,7 +33,23 @@ func testEngine(t testing.TB) *core.Prefilter {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return core.New(table, core.Options{})
+	return core.NewPlan(table, core.Options{})
+}
+
+// testEngine is the single-query pipeline engine over testPlan.
+func testEngine(t testing.TB) corpus.Engine {
+	return pipelineEngine{eng: pipeline.New([]*core.Plan{testPlan(t)})}
+}
+
+// oracle projects doc with the paper's window engine, the reference every
+// pipeline run must match byte for byte.
+func oracle(t testing.TB, plan *core.Plan, doc []byte) []byte {
+	t.Helper()
+	out, _, err := core.NewFromPlan(plan).ProjectBytes(context.Background(), doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 // testDocs generates n distinct small XMark-like documents.
@@ -64,40 +82,34 @@ func (c *captureWriter) Bytes() []byte {
 }
 
 // TestRunnerMatchesSerial checks that sharding a batch across workers
-// produces byte-identical projections to the serial loop, for both the
-// shared-engine and the per-worker-engine configuration.
+// produces projections byte-identical to the serial reference engine, with
+// and without intra-document workers inside each job.
 func TestRunnerMatchesSerial(t *testing.T) {
-	engine := testEngine(t)
+	plan := testPlan(t)
+	eng := pipeline.New([]*core.Plan{plan})
 	docs := testDocs(12, 64<<10)
 
 	want := make([][]byte, len(docs))
 	for i, doc := range docs {
-		out, _, err := engine.ProjectBytes(context.Background(), doc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i] = out
+		want[i] = oracle(t, plan, doc)
 	}
-
-	// Per-worker engines built from one plan: private buffer pools, one
-	// shared copy of the compiled tables.
-	sharedPlan := engine.Plan()
 
 	configs := []struct {
 		name   string
-		runner Runner
+		runner corpus.Runner
 	}{
-		{"SharedEngine", Runner{Engine: engine, Workers: 4}},
-		{"PerWorkerEngine", Runner{NewEngine: func() Engine { return testEngine(t) }, Workers: 4}},
-		{"PerWorkerSharedPlan", Runner{NewEngine: func() Engine { return core.NewFromPlan(sharedPlan) }, Workers: 4}},
+		{"SharedEngine", corpus.Runner{Engine: pipelineEngine{eng: eng}, Workers: 4}},
+		// 4 KiB chunks cut each 64 KiB document into several segments, so
+		// the two scan workers really fan out.
+		{"IntraWorkers", corpus.Runner{Engine: pipelineEngine{eng: eng, opts: pipeline.Options{Workers: 2, ChunkSize: 4 << 10}}, Workers: 2}},
 	}
 	for _, cfg := range configs {
 		t.Run(cfg.name, func(t *testing.T) {
 			outs := make([]*captureWriter, len(docs))
-			jobs := make([]Job, len(docs))
+			jobs := make([]corpus.Job, len(docs))
 			for i, doc := range docs {
 				outs[i] = &captureWriter{}
-				job := FromBytes("doc"+strconv.Itoa(i), doc)
+				job := corpus.FromBytes("doc"+strconv.Itoa(i), doc)
 				out := outs[i]
 				job.Dst = func() (io.WriteCloser, error) { return out, nil }
 				jobs[i] = job
@@ -138,14 +150,14 @@ func TestRunnerJobErrorDoesNotStopBatch(t *testing.T) {
 	docs := testDocs(4, 16<<10)
 
 	boom := errors.New("boom")
-	jobs := []Job{
-		FromBytes("ok0", docs[0]),
+	jobs := []corpus.Job{
+		corpus.FromBytes("ok0", docs[0]),
 		{Name: "bad", Src: func() (io.ReadCloser, error) { return nil, boom }},
-		FromBytes("ok1", docs[1]),
-		FromBytes("ok2", docs[2]),
-		FromBytes("ok3", docs[3]),
+		corpus.FromBytes("ok1", docs[1]),
+		corpus.FromBytes("ok2", docs[2]),
+		corpus.FromBytes("ok3", docs[3]),
 	}
-	results, agg := (&Runner{Engine: engine, Workers: 2}).Run(context.Background(), jobs)
+	results, agg := (&corpus.Runner{Engine: engine, Workers: 2}).Run(context.Background(), jobs)
 	if agg.Failed != 1 {
 		t.Fatalf("agg.Failed = %d, want 1", agg.Failed)
 	}
@@ -166,11 +178,11 @@ func TestRunnerContextCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 
-	jobs := make([]Job, 8)
+	jobs := make([]corpus.Job, 8)
 	for i := range jobs {
-		jobs[i] = FromBytes("doc"+strconv.Itoa(i), []byte("<site/>"))
+		jobs[i] = corpus.FromBytes("doc"+strconv.Itoa(i), []byte("<site/>"))
 	}
-	results, agg := (&Runner{Engine: engine, Workers: 3}).Run(ctx, jobs)
+	results, agg := (&corpus.Runner{Engine: engine, Workers: 3}).Run(ctx, jobs)
 	if agg.Failed != len(jobs) {
 		t.Fatalf("agg.Failed = %d, want %d", agg.Failed, len(jobs))
 	}
@@ -183,9 +195,10 @@ func TestRunnerContextCancelled(t *testing.T) {
 
 // TestFromFile round-trips a document through the file-based job
 // constructor and checks the projection written to disk against the serial
-// in-memory path.
+// reference engine.
 func TestFromFile(t *testing.T) {
-	engine := testEngine(t)
+	plan := testPlan(t)
+	engine := pipelineEngine{eng: pipeline.New([]*core.Plan{plan})}
 	doc := testDocs(1, 32<<10)[0]
 	dir := t.TempDir()
 	in := filepath.Join(dir, "in.xml")
@@ -194,7 +207,7 @@ func TestFromFile(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	results, agg := (&Runner{Engine: engine, Workers: 1}).Run(context.Background(), []Job{FromFile(in, out)})
+	results, agg := (&corpus.Runner{Engine: engine, Workers: 1}).Run(context.Background(), []corpus.Job{corpus.FromFile(in, out)})
 	if agg.Failed != 0 {
 		t.Fatalf("run failed: %v", results[0].Err)
 	}
@@ -202,11 +215,7 @@ func TestFromFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _, err := engine.ProjectBytes(context.Background(), doc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
+	if want := oracle(t, plan, doc); !bytes.Equal(got, want) {
 		t.Fatalf("file projection (%d bytes) differs from serial projection (%d bytes)", len(got), len(want))
 	}
 }
@@ -214,9 +223,9 @@ func TestFromFile(t *testing.T) {
 // TestReport smoke-tests the table rendering.
 func TestReport(t *testing.T) {
 	engine := testEngine(t)
-	jobs := []Job{FromBytes("a", testDocs(1, 8<<10)[0])}
-	results, agg := (&Runner{Engine: engine, Workers: 1}).Run(context.Background(), jobs)
-	got := Report("corpus", results, agg).String()
+	jobs := []corpus.Job{corpus.FromBytes("a", testDocs(1, 8<<10)[0])}
+	results, agg := (&corpus.Runner{Engine: engine, Workers: 1}).Run(context.Background(), jobs)
+	got := corpus.Report("corpus", results, agg).String()
 	for _, want := range []string{"corpus", "Document", "a", "ok", "1 document(s), 0 failed"} {
 		if !strings.Contains(got, want) {
 			t.Errorf("report missing %q:\n%s", want, got)
@@ -226,7 +235,7 @@ func TestReport(t *testing.T) {
 
 // cancellingSource produces an endless keyword-free stream and cancels the
 // batch context after cancelAt bytes; only context cancellation can end the
-// run, so the test proves in-flight jobs abort at a chunk boundary.
+// run, so the test proves in-flight jobs abort at a segment boundary.
 type cancellingSource struct {
 	produced int
 	cancelAt int
@@ -260,15 +269,15 @@ func TestRunnerCancelsInFlightJobs(t *testing.T) {
 	defer cancel()
 
 	var mu sync.Mutex
-	jobs := make([]Job, 3)
+	jobs := make([]corpus.Job, 3)
 	for i := range jobs {
 		src := &cancellingSource{cancelAt: 256 << 10, cancel: cancel, mu: &mu}
-		jobs[i] = Job{
+		jobs[i] = corpus.Job{
 			Name: "endless" + strconv.Itoa(i),
 			Src:  func() (io.ReadCloser, error) { return src, nil },
 		}
 	}
-	results, agg := (&Runner{Engine: engine, Workers: 3}).Run(ctx, jobs)
+	results, agg := (&corpus.Runner{Engine: engine, Workers: 3}).Run(ctx, jobs)
 	if agg.Failed != len(jobs) {
 		t.Fatalf("agg.Failed = %d, want %d", agg.Failed, len(jobs))
 	}

@@ -1,27 +1,31 @@
 // Package corpus shards a batch of XML documents across a pool of worker
-// goroutines, each driving its own prefiltering engine, and aggregates the
+// goroutines, all driving one shared projection engine, and aggregates the
 // per-document runtime statistics. It is the batch/concurrent layer on top
-// of the single-document engine in internal/core: the engine answers "how do
-// I project one document fast", corpus answers "how do I push a whole corpus
-// through N cores". (The other axes — splitting one large document across
-// cores, and serving K queries from one scan — live in internal/pipeline.)
+// of the single-document engine in internal/pipeline: the engine answers
+// "how do I project one document fast" (for one query or K, with W scan
+// workers), corpus answers "how do I push a whole corpus through N cores".
 //
-// The zero-configuration path is
+// The runner is engine-agnostic: an Engine projects one document for its
+// queries and reports per-query and aggregate Stats. Package smp's Batch
+// adapts a pipeline.Engine to it (a single query is K=1) and adds index
+// replay; a minimal adapter is
 //
-//	runner := corpus.Runner{Engine: core.New(table, core.Options{})}
+//	type engine struct{ eng *pipeline.Engine }
+//
+//	func (engine) Multi() bool { return false }
+//
+//	func (e engine) Project(ctx context.Context, dsts []io.Writer, src io.Reader, _ *index.Index) ([]core.Stats, core.Stats, error) {
+//		res, err := e.eng.Project(ctx, dsts, src, pipeline.Options{})
+//		return res.Query, res.Aggregate(), err
+//	}
+//
+//	runner := corpus.Runner{Engine: engine{pipeline.New(plans)}}
 //	results, agg := runner.Run(context.Background(), jobs)
 //
-// which uses one shared engine (the core engine is goroutine-safe and pools
-// its per-run buffers internally) and GOMAXPROCS workers. The context given
-// to Run reaches every engine run: cancelling it skips unstarted jobs and
-// aborts in-flight projections at their next chunk boundary. Either way all
-// workers execute one immutable compiled Plan — matcher tables, interned tag
-// strings and vocabulary orders exist once per compilation, not once per
-// worker. Setting NewEngine gives every worker a private engine instance
-// instead, which removes even the buffer-pool synchronization from the hot
-// path; build the per-worker engines with core.NewFromPlan to keep sharing
-// the plan:
-//
-//	plan := core.NewPlan(table, core.Options{})
-//	runner := corpus.Runner{NewEngine: func() corpus.Engine { return core.NewFromPlan(plan) }}
+// which uses GOMAXPROCS workers. The engine is immutable, so every worker
+// shares its compiled tables — matcher tables, interned tag strings,
+// vocabulary orders and scan tables exist once per compilation, not once
+// per worker. The context given to Run reaches every engine run:
+// cancelling it skips unstarted jobs and aborts in-flight projections at
+// their next segment boundary.
 package corpus

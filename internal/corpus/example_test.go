@@ -10,8 +10,34 @@ import (
 	"smp/internal/core"
 	"smp/internal/corpus"
 	"smp/internal/dtd"
+	"smp/internal/index"
 	"smp/internal/paths"
+	"smp/internal/pipeline"
 )
+
+// pipelineEngine runs a single-query pipeline engine for the runner with
+// fixed per-run options. Package smp's Batch adapter is the same, plus
+// index replay.
+type pipelineEngine struct {
+	eng  *pipeline.Engine
+	opts pipeline.Options
+}
+
+func (pipelineEngine) Multi() bool { return false }
+
+func (e pipelineEngine) Project(ctx context.Context, dsts []io.Writer, src io.Reader, _ *index.Index) ([]core.Stats, core.Stats, error) {
+	res, err := e.eng.Project(ctx, dsts, src, e.opts)
+	return res.Query, res.Aggregate(), err
+}
+
+// newEngine compiles the projection paths against the DTD of paper Fig. 1.
+func newEngine(pathSpec string) corpus.Engine {
+	table, err := compile.Compile(dtd.MustParse(auctionDTD), paths.MustParseSet(pathSpec), compile.Options{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	return pipelineEngine{eng: pipeline.New([]*core.Plan{core.NewPlan(table, core.Options{})})}
+}
 
 // The simplified XMark DTD of paper Fig. 1.
 const auctionDTD = `<!DOCTYPE site [
@@ -34,12 +60,7 @@ const auctionDTD = `<!DOCTYPE site [
 // one goroutine-safe engine, discarding the projections and reporting the
 // aggregate counters.
 func ExampleRunner() {
-	schema := dtd.MustParse(auctionDTD)
-	table, err := compile.Compile(schema, paths.MustParseSet("/*, //australia//description#"), compile.Options{})
-	if err != nil {
-		log.Fatal(err)
-	}
-	engine := core.New(table, core.Options{})
+	engine := newEngine("/*, //australia//description#")
 
 	doc := []byte(`<site><regions><africa/><asia/><australia><item><location>Egypt</location><name>PDA</name><payment>Check</payment><description>Palm Zire 71</description><shipping/><incategory category="3"/></item></australia></regions></site>`)
 	jobs := []corpus.Job{
@@ -64,12 +85,7 @@ func ExampleRunner() {
 
 // ExampleJob_Dst keeps one projection by attaching a destination to a job.
 func ExampleJob_Dst() {
-	schema := dtd.MustParse(auctionDTD)
-	table, err := compile.Compile(schema, paths.MustParseSet("/*, //australia//description#"), compile.Options{})
-	if err != nil {
-		log.Fatal(err)
-	}
-	engine := core.New(table, core.Options{})
+	engine := newEngine("/*, //australia//description#")
 
 	doc := []byte(`<site><regions><africa/><asia/><australia><item><location>X</location><name>N</name><payment>P</payment><description>D</description><shipping/><incategory category="1"/></item></australia></regions></site>`)
 

@@ -1,7 +1,10 @@
-// Package pipeline is the unified K×W execution engine behind every
-// non-serial projection run: K merged queries replaying one shared
+// Package pipeline is the one production execution engine: every
+// projection run — one query or K, serial or W workers, scanned or replayed
+// from a persisted index — is K merged queries replaying one shared
 // candidate stream produced by a segment source that scans the document
-// with W workers (W <= 1 selects an in-line sequential scan).
+// with W workers (W <= 1 selects an in-line sequential scan; a single query
+// is K=1). The paper's skip-based window engine (internal/core) stays as
+// the reference this package is tested against, not as a second path.
 //
 // The package merges what used to be two separate exploitations of the
 // paper's reduction (projection → anchored keyword search replayed through

@@ -29,9 +29,8 @@ type Options struct {
 	ChunkSize int
 	// Trace, when non-nil, records per-stage spans (segment scan, replay,
 	// stitch) of the run for Chrome trace-event output, and enables the
-	// per-write stitch timing that untraced runs skip. A traced single-query
-	// run always takes the staged driver — not the serial core shortcut —
-	// so every stage is visible; the output stays byte-identical.
+	// per-write stitch timing that untraced runs skip. The output is the
+	// same with or without it.
 	Trace *obs.Trace
 }
 
@@ -42,10 +41,7 @@ type Options struct {
 type Engine struct {
 	plans []*core.Plan
 	scan  *core.ScanPlan
-	// serial is the shared-plan serial core engine used as the single-query
-	// fallback (small inputs, Workers <= 1 at K == 1); nil for K > 1.
-	serial *core.Prefilter
-	chunk  int
+	chunk int
 }
 
 // New merges the compiled plans of K queries into one projection engine.
@@ -63,11 +59,7 @@ func New(plans []*core.Plan) *Engine {
 			chunk = c
 		}
 	}
-	e := &Engine{plans: plans, scan: core.NewScanPlanUnion(plans), chunk: chunk}
-	if len(plans) == 1 {
-		e.serial = core.NewFromPlan(plans[0])
-	}
-	return e
+	return &Engine{plans: plans, scan: core.NewScanPlanUnion(plans), chunk: chunk}
 }
 
 // Len returns the number of merged queries.
@@ -238,7 +230,7 @@ func (e *Engine) Project(ctx context.Context, dsts []io.Writer, src io.Reader, o
 		// A pre-cancelled context takes the serial path too: its source
 		// observes the cancellation before the first read, so the run fails
 		// without spawning anything.
-		return e.projectSerial(ctx, dsts, src, chunk, opts.Trace)
+		return e.projectSerial(ctx, dsts, src, nil, chunk, opts.Trace)
 	}
 	segSize, overlap := e.sizing(opts.Workers, opts)
 
@@ -252,9 +244,9 @@ func (e *Engine) Project(ctx context.Context, dsts []io.Writer, src io.Reader, o
 	switch err {
 	case nil:
 	case io.EOF, io.ErrUnexpectedEOF:
-		return e.projectSerial(ctx, dsts, bytes.NewReader(first[:n]), chunk, opts.Trace)
+		return e.projectSerial(ctx, dsts, nil, first[:n], chunk, opts.Trace)
 	default:
-		return e.projectSerial(ctx, dsts, io.MultiReader(bytes.NewReader(first[:n]), errorReader{err}), chunk, opts.Trace)
+		return e.projectSerial(ctx, dsts, io.MultiReader(bytes.NewReader(first[:n]), errorReader{err}), nil, chunk, opts.Trace)
 	}
 
 	ps := newParallelSource(ctx, e.scan, opts.Workers, segSize, overlap)
@@ -265,75 +257,36 @@ func (e *Engine) Project(ctx context.Context, dsts []io.Writer, src io.Reader, o
 // ProjectBuffered is Project for a document already in memory: the segments
 // alias doc, so the parallel pipeline's only allocations are the candidate
 // lists, and Result.Scan.ZeroCopyInput is set. Runs that would not fan out
-// (Workers <= 1, small inputs) take the serial path — single-query serial
-// runs scan doc in place through the core engine's pinned window; K > 1
-// serial fallbacks stream over a bytes.Reader.
+// (Workers <= 1, small inputs) take the serial source, which slices doc in
+// place as well.
 func (e *Engine) ProjectBuffered(ctx context.Context, dsts []io.Writer, doc []byte, opts Options) (Result, error) {
 	dsts, chunk, err := e.resolve(dsts, opts)
 	if err != nil {
 		return Result{}, err
 	}
 	segSize, overlap := e.sizing(opts.Workers, opts)
+	var res Result
 	if opts.Workers <= 1 || len(doc) < segSize+overlap || ctx.Err() != nil {
-		if e.serial != nil && opts.Trace == nil {
-			return e.projectSerialBytes(ctx, dsts, doc, chunk)
-		}
-		return e.projectSerial(ctx, dsts, bytes.NewReader(doc), chunk, opts.Trace)
+		res, err = e.projectSerial(ctx, dsts, nil, doc, chunk, opts.Trace)
+	} else {
+		ps := newParallelSource(ctx, e.scan, opts.Workers, segSize, overlap)
+		ps.startBuffered(doc)
+		res, err = newDriver(e, dsts, ps, opts.Trace).run()
 	}
-	ps := newParallelSource(ctx, e.scan, opts.Workers, segSize, overlap)
-	ps.startBuffered(doc)
-	res, err := newDriver(e, dsts, ps, opts.Trace).run()
 	res.Scan.ZeroCopyInput = true
 	return res, err
 }
 
-// projectSerial runs the K replays over the sequential in-line source. The
-// single-query case short-circuits to the shared-plan serial core engine —
-// the byte-identity reference itself, and faster than a replay because its
-// state-directed search skips input the speculative union scan must touch.
-// A traced run skips the shortcut: only the staged driver can attribute
-// time to the scan/replay/stitch stages, and its output is byte-identical.
-func (e *Engine) projectSerial(ctx context.Context, dsts []io.Writer, src io.Reader, chunk int, trace *obs.Trace) (Result, error) {
-	if e.serial != nil && trace == nil {
-		dst := dsts[0]
-		if dst == nil {
-			dst = io.Discard
-		}
-		st, err := e.serial.ProjectWith(ctx, dst, src, core.RunOptions{ChunkSize: chunk})
-		res := Result{Query: []core.Stats{st}}
-		res.Scan.BytesRead = st.BytesRead
-		res.Scan.MaxBufferBytes = st.MaxBufferBytes
-		res.Scan.ZeroCopyInput = st.ZeroCopyInput
-		if err != nil {
-			return res, &Error{Errs: []error{err}}
-		}
-		return res, nil
-	}
+// projectSerial runs the K replays over the sequential in-line source: src
+// is read segment by segment, or, when src is nil, the in-memory doc is
+// sliced in place. Both cut the same segments, so the driver —
+// and with it the output and any error — cannot tell them apart.
+func (e *Engine) projectSerial(ctx context.Context, dsts []io.Writer, src io.Reader, doc []byte, chunk int, trace *obs.Trace) (Result, error) {
 	// The serial segment granularity is the chunk size, clamped so tiny
 	// chunk overrides do not degenerate into per-byte segments.
 	segSize := chunk
 	if segSize < 64 {
 		segSize = 64
 	}
-	return newDriver(e, dsts, newSerialSource(ctx, src, e.scan, segSize), trace).run()
-}
-
-// projectSerialBytes is the single-query serial path for an in-memory
-// document: the core engine scans doc in place through its pinned window
-// (no window copies, Stats.ZeroCopyInput set). Only valid when e.serial is
-// non-nil.
-func (e *Engine) projectSerialBytes(ctx context.Context, dsts []io.Writer, doc []byte, chunk int) (Result, error) {
-	dst := dsts[0]
-	if dst == nil {
-		dst = io.Discard
-	}
-	st, err := e.serial.ProjectBytesWith(ctx, dst, doc, core.RunOptions{ChunkSize: chunk})
-	res := Result{Query: []core.Stats{st}}
-	res.Scan.BytesRead = st.BytesRead
-	res.Scan.MaxBufferBytes = st.MaxBufferBytes
-	res.Scan.ZeroCopyInput = st.ZeroCopyInput
-	if err != nil {
-		return res, &Error{Errs: []error{err}}
-	}
-	return res, nil
+	return newDriver(e, dsts, newSerialSource(ctx, src, doc, e.scan, segSize), trace).run()
 }

@@ -1,6 +1,9 @@
 package pipeline
 
 import (
+	"context"
+	"fmt"
+	"strings"
 	"testing"
 
 	"smp/internal/compile"
@@ -91,4 +94,21 @@ func TestNewPanicsOnEmpty(t *testing.T) {
 		}
 	}()
 	New(nil)
+}
+
+// TestProjectBufferedNilDocument checks that a nil in-memory document is an
+// empty document, exactly as an empty stream is, and never read as one.
+func TestProjectBufferedNilDocument(t *testing.T) {
+	e := New([]*core.Plan{sizingPlan(t, 1<<10)})
+	_, wantErr := e.Project(context.Background(), nil, strings.NewReader(""), Options{})
+	if wantErr == nil {
+		t.Fatal("empty stream projected without an error")
+	}
+	res, err := e.ProjectBuffered(context.Background(), nil, nil, Options{})
+	if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+		t.Errorf("nil document: err %v, want %v", err, wantErr)
+	}
+	if res.Scan.BytesRead != 0 {
+		t.Errorf("nil document: BytesRead = %d, want 0", res.Scan.BytesRead)
+	}
 }

@@ -61,13 +61,18 @@ type source interface {
 	close(st *core.Stats)
 }
 
-// serialSource reads the input sequentially, cuts it into overlapping
-// segments and scans each in-line against the union vocabulary — the W <= 1
-// shape of the shared pass: no goroutines, recycled buffers, reads stop as
-// soon as the driver stops asking.
+// serialSource cuts the input into overlapping segments and scans each
+// in-line against the union vocabulary — the W <= 1 shape of the shared
+// pass: no goroutines, recycled buffers, and reading stops as soon as the
+// driver stops asking. It either reads a stream or slices an in-memory
+// document in place; both cut the same segments at the same offsets.
 type serialSource struct {
-	ctx     context.Context
+	ctx context.Context
+	// r is the stream the source reads; when it is nil the segments alias
+	// doc instead, an in-memory document (a caller's slice or a read-only
+	// file mapping).
 	r       io.Reader
+	doc     []byte
 	sc      *core.SegmentScanner
 	segSize int
 	overlap int
@@ -86,9 +91,11 @@ type serialSource struct {
 	freeCands [][]core.Candidate
 }
 
-func newSerialSource(ctx context.Context, r io.Reader, scan *core.ScanPlan, segSize int) *serialSource {
+// newSerialSource builds the serial source over r, or over doc in place
+// when r is nil.
+func newSerialSource(ctx context.Context, r io.Reader, doc []byte, scan *core.ScanPlan, segSize int) *serialSource {
 	overlap := scan.MaxKeywordLen() + 1
-	return &serialSource{ctx: ctx, r: r, sc: scan.NewScanner(), segSize: segSize, overlap: overlap}
+	return &serialSource{ctx: ctx, r: r, doc: doc, sc: scan.NewScanner(), segSize: segSize, overlap: overlap}
 }
 
 // next returns the next scanned segment, or nil when the input is
@@ -108,6 +115,9 @@ func (s *serialSource) next() *mseg {
 		return nil
 	}
 	want := s.segSize + s.overlap
+	if s.r == nil {
+		return s.slice(want)
+	}
 	if len(s.carry) < want {
 		if cap(s.carry) < want {
 			grown := make([]byte, len(s.carry), want)
@@ -131,6 +141,23 @@ func (s *serialSource) next() *mseg {
 	return s.emit(s.segSize, false)
 }
 
+// slice cuts the next segment out of the in-memory document where a read
+// of want bytes would have ended it: a full segment plus its lookahead
+// while that much remains, the whole remainder as the final segment
+// otherwise. Nothing is copied.
+func (s *serialSource) slice(want int) *mseg {
+	rest := s.doc[s.base:]
+	seg := &mseg{base: s.base, data: rest, owned: len(rest), final: true}
+	if len(rest) < want {
+		s.done = true
+	} else {
+		seg.data, seg.owned, seg.final = rest[:want], s.segSize, false
+	}
+	s.bytesRead = s.base + int64(len(seg.data))
+	s.base += int64(seg.owned)
+	return s.scan(seg)
+}
+
 // emit cuts a segment owning the first owned bytes of carry, scans it, and
 // carries the tail (the lookahead shared with the next segment) over into a
 // fresh buffer.
@@ -146,7 +173,11 @@ func (s *serialSource) emit(owned int, final bool) *mseg {
 	}
 	s.carry = append(next[:0], tail...)
 	s.base += int64(owned)
+	return s.scan(seg)
+}
 
+// scan fills the segment's candidate list, reusing a retired list.
+func (s *serialSource) scan(seg *mseg) *mseg {
 	var cands []core.Candidate
 	if n := len(s.freeCands); n > 0 {
 		cands, s.freeCands = s.freeCands[n-1], s.freeCands[:n-1]
@@ -157,8 +188,12 @@ func (s *serialSource) emit(owned int, final bool) *mseg {
 
 func (s *serialSource) err() error { return s.terminal }
 
+// recycle keeps a retired segment's buffers for reuse — except data that
+// aliases the caller's document, which must never be written.
 func (s *serialSource) recycle(seg *mseg) {
-	s.freeData = append(s.freeData, seg.data[:0])
+	if s.r != nil {
+		s.freeData = append(s.freeData, seg.data[:0])
+	}
 	s.freeCands = append(s.freeCands, seg.cands[:0])
 }
 

@@ -16,7 +16,7 @@ import (
 // document, served by a single scan. The per-query compiled plans are merged
 // into one union keyword vocabulary; one anchored pass over the input finds
 // every occurrence of the union, and K per-query automata replay the shared
-// candidate stream, each maintaining its own window and copy-region state
+// candidate stream, each maintaining its own cursor and copy-region state
 // and writing to its own destination. Each query's output is byte-identical
 // to a standalone Project run of that query by construction — the scan is a
 // sound and complete oracle for every automaton whose vocabulary it
@@ -105,7 +105,7 @@ func NewMultiPrefilter(pfs ...*Prefilter) (*MultiPrefilter, error) {
 	}
 	plans := make([]*core.Plan, len(pfs))
 	for i, pf := range pfs {
-		plans[i] = pf.engine.Plan()
+		plans[i] = pf.plan
 	}
 	return &MultiPrefilter{pfs: pfs, multi: pipeline.New(plans)}, nil
 }
@@ -160,7 +160,7 @@ func (m *MultiPrefilter) MinParallelInput(workers int, opts ...ProjectOption) in
 // WithAutoWorkers) fans the shared scan out across n segment-scan workers:
 // the K replays consume one in-order candidate stream whatever the worker
 // count, so every query's output stays byte-identical to its standalone
-// serial Project run. Inputs smaller than one segment plus its lookahead
+// Project run. Inputs smaller than one segment plus its lookahead
 // (see MinParallelInput) keep the serial scan.
 //
 // Errors are isolated per query: one query's write failure or DTD
@@ -169,22 +169,7 @@ func (m *MultiPrefilter) MinParallelInput(workers int, opts ...ProjectOption) in
 // valid either way.
 func (m *MultiPrefilter) MultiProject(ctx context.Context, dsts []io.Writer, src io.Reader, opts ...ProjectOption) ([]Stats, error) {
 	cfg := resolveOptions(opts)
-	tr := m.newRunTrace(cfg)
-	popts := pipeline.Options{Workers: cfg.workers, ChunkSize: cfg.chunkSize, Trace: tr}
-	var res pipeline.Result
-	var err error
-	if cfg.index != nil {
-		// WithIndex: replay the stored candidate stream when it covers the
-		// merged vocabulary and matches the document, scan otherwise (see
-		// WithIndex and BuildIndex).
-		res, err = replayOrScan(ctx, m.multi, dsts, src, cfg.index, popts)
-	} else {
-		res, err = m.multi.Project(ctx, dsts, src, popts)
-	}
-	err = finishTrace(tr, cfg.traceOut, err)
-	if cfg.statsInto != nil {
-		*cfg.statsInto = res.Aggregate()
-	}
+	res, err := run(ctx, m.multi, dsts, src, cfg, m.newRunTrace(cfg))
 	return res.Query, err
 }
 

@@ -7,8 +7,12 @@
 // to the output, so that a downstream in-memory query engine has to hold far
 // less data. Unlike prefilters built on a SAX parser, SMP never tokenizes
 // the complete input: a static analysis compiles the DTD and the paths into
-// a small runtime automaton whose states drive Boyer-Moore and
-// Commentz-Walter keyword searches, skipping most of the input's characters.
+// a small runtime automaton whose states select the next keyword to look
+// for. The paper drives that automaton with Boyer-Moore and Commentz-Walter
+// searches that skip most of the input's characters; this package drives it
+// from a branch-free scan that finds every keyword occurrence in one pass,
+// which measures faster on current hardware, and keeps the paper's engine
+// as the reference its output is tested against.
 //
 // Basic usage:
 //
@@ -21,15 +25,15 @@
 //	pf, err := smp.CompileQuery(dtdSource, "<q>{//australia//description}</q>", smp.Options{})
 //
 // Project is the one canonical execution call: it streams src through the
-// prefilter into dst, honours ctx cancellation at every chunk boundary, and
-// takes functional options for everything the v1 method matrix spread over
-// separate entry points — WithWorkers(n) for intra-document parallelism,
-// WithChunkSize(n) for the window granularity, WithStatsInto(&st) to
-// receive the counters even on error paths. Whole-corpus workloads go
-// through Batch, which shards jobs across workers sharing one compiled
-// plan, and K concurrent queries over one document go through CompileMulti
-// and MultiPrefilter.MultiProject, which serve all K from a single document
-// scan (per-query output byte-identical to a standalone Project run).
+// prefilter into dst, honours ctx cancellation at every segment boundary,
+// and takes functional options for everything a run can vary —
+// WithWorkers(n) for intra-document parallelism, WithChunkSize(n) for the
+// segment granularity, WithStatsInto(&st) to receive the counters even on
+// error paths. Whole-corpus workloads go through Batch, which shards jobs
+// across workers sharing one compiled plan, and K concurrent queries over
+// one document go through CompileMulti and MultiPrefilter.MultiProject,
+// which serve all K from a single document scan (per-query output
+// byte-identical to a standalone Project run).
 //
 // The package also bundles deterministic XMark-like and MEDLINE-like dataset
 // generators and the benchmark query workloads used by the experiment
@@ -38,14 +42,12 @@
 package smp
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"io"
 	"os"
 	"runtime"
-	"sync"
 	"time"
 
 	"smp/internal/compile"
@@ -75,58 +77,31 @@ type PlanStats = core.PlanStats
 // paths) from the bundled XMark and MEDLINE workloads.
 type Query = xmlgen.Query
 
-// SingleAlgorithm selects the algorithm used for single-keyword frontiers.
-type SingleAlgorithm = core.SingleAlgorithm
-
-// MultiAlgorithm selects the algorithm used for multi-keyword frontiers.
-type MultiAlgorithm = core.MultiAlgorithm
-
-// Algorithm choices (the defaults are the paper's Boyer-Moore and
-// Commentz-Walter).
-const (
-	SingleBoyerMoore = core.SingleBoyerMoore
-	SingleHorspool   = core.SingleHorspool
-	SingleNaive      = core.SingleNaive
-
-	MultiCommentzWalter = core.MultiCommentzWalter
-	MultiAhoCorasick    = core.MultiAhoCorasick
-	MultiSetHorspool    = core.MultiSetHorspool
-	MultiNaive          = core.MultiNaive
-)
-
 // Options configures compilation and execution of a Prefilter.
 type Options struct {
-	// ChunkSize is the streaming window read granularity in bytes; 0 selects
-	// the default (32 KiB, eight times a common page size, as in the paper).
+	// ChunkSize is the streaming read granularity in bytes; 0 selects the
+	// default (32 KiB, eight times a common page size, as in the paper).
 	ChunkSize int
 	// DisableInitialJumps zeroes the initial-jump table J (used by the
 	// ablation benchmarks).
 	DisableInitialJumps bool
-	// Single and Multi select the string matching algorithms (ablations).
-	Single SingleAlgorithm
-	Multi  MultiAlgorithm
 }
 
 // Prefilter is a compiled XML prefilter: an immutable execution plan (the
 // runtime automaton with its lookup tables, precompiled string matchers and
-// interned tag strings — see PlanStats) plus the execution engine. A
-// Prefilter is safe to reuse for any number of documents valid with respect
-// to its DTD, and is safe for concurrent use by multiple goroutines (compile
-// once, project many): all shared state is read-only after Compile.
+// interned tag strings — see PlanStats) plus the scan tables of its
+// execution engine, the K=1 case of internal/pipeline. A Prefilter is safe
+// to reuse for any number of documents valid with respect to its DTD, and
+// is safe for concurrent use by multiple goroutines (compile once, project
+// many): all shared state is read-only after Compile.
 type Prefilter struct {
-	schema *dtd.DTD
-	set    *paths.Set
-	table  *compile.Table
-	engine *core.Prefilter
+	set  *paths.Set
+	plan *core.Plan
+	eng  *pipeline.Engine
 
 	// compileDur is the wall time Compile spent on the static analysis and
 	// plan construction, reported as the "compile" span of traced runs.
 	compileDur time.Duration
-
-	// pipeOnce lazily builds the K=1 unified pipeline engine (its global
-	// scan tables are only paid for once a run asks for workers).
-	pipeOnce sync.Once
-	pipeEng  *pipeline.Engine
 }
 
 // Compile builds a prefilter from DTD source text and a comma- or
@@ -160,17 +135,17 @@ func compileSet(dtdSource string, set *paths.Set, opts Options) (*Prefilter, err
 	if err != nil {
 		return nil, err
 	}
-	engine := core.New(table, core.Options{
-		ChunkSize: opts.ChunkSize,
-		Single:    opts.Single,
-		Multi:     opts.Multi,
-	})
-	return &Prefilter{schema: schema, set: set, table: table, engine: engine, compileDur: time.Since(t0)}, nil
+	plan := core.NewPlan(table, core.Options{ChunkSize: opts.ChunkSize})
+	return &Prefilter{
+		set:        set,
+		plan:       plan,
+		eng:        pipeline.New([]*core.Plan{plan}),
+		compileDur: time.Since(t0),
+	}, nil
 }
 
-// ProjectOption configures one projection run. Options are the v2
-// replacement for the v1 serial/parallel/bytes method matrix: one Project
-// call takes the document stream plus whatever overrides the run needs.
+// ProjectOption configures one projection run: one Project call takes the
+// document stream plus whatever overrides the run needs.
 type ProjectOption func(*projectConfig)
 
 // projectConfig is the resolved per-run configuration.
@@ -211,7 +186,7 @@ func WithAutoWorkers() ProjectOption {
 	return WithWorkers(runtime.GOMAXPROCS(0))
 }
 
-// WithChunkSize overrides the streaming window chunk size (the read
+// WithChunkSize overrides the chunk size (the read and serial segment
 // granularity, default 32 KiB) for this run only. For parallel runs it also
 // scales the default segment size and the segment lookahead. n <= 0 keeps
 // the prefilter's compiled value.
@@ -222,12 +197,11 @@ func WithChunkSize(n int) ProjectOption {
 // WithTrace records per-stage spans of the run — compile, segment scan,
 // candidate replay, output stitch — and writes them to w as Chrome
 // trace-event JSON when the run finishes; the file loads directly in
-// Perfetto or chrome://tracing. Tracing also populates the per-stage
-// duration fields on Stats (ScanDuration, ReplayDuration, StitchDuration).
-// A traced single-query run takes the staged pipeline driver instead of the
-// serial core shortcut so every stage is attributable; the projected output
-// is byte-identical either way, at a small per-write timing cost. A trace
-// write failure is reported only if the projection itself succeeded.
+// Perfetto or chrome://tracing. Tracing also measures
+// Stats.StitchDuration, at a small per-write timing cost (ScanDuration and
+// ReplayDuration are measured on every run); the run and its output are
+// otherwise unchanged. A trace write failure is reported only if the
+// projection itself succeeded.
 func WithTrace(w io.Writer) ProjectOption {
 	return func(c *projectConfig) { c.traceOut = w }
 }
@@ -242,50 +216,46 @@ func WithStatsInto(st *Stats) ProjectOption {
 
 // Project streams the document read from src through the prefilter and
 // writes the projection to dst. It is the canonical execution call of the
-// package: every other entry point (ProjectFile, Batch, the deprecated v1
-// wrappers) routes through it. Memory use stays proportional to the chunk
-// size, never to the document or projection size. The input must be valid
-// with respect to the prefilter's DTD.
+// package: ProjectFile routes through it, and Batch and MultiProject run
+// the same engine (a single query is the K=1 case of a multi-query run).
+// Memory use stays proportional to the chunk size, never to the document
+// or projection size. The input must be valid with respect to the
+// prefilter's DTD.
 //
-// The context is honoured at every chunk boundary in every layer — the
-// serial window, the parallel segment reader, the stitcher and the workers
+// The context is honoured at every segment boundary in every layer — the
+// serial scan, the parallel segment reader, the stitcher and the workers
 // — so a cancelled ctx makes Project return ctx.Err() promptly without
 // leaking goroutines. Output already written to dst stays written; callers
 // that must not observe partial output use ProjectFile (which removes the
 // file on failure) or buffer dst themselves.
 //
 // A Prefilter is safe for concurrent use: Project may be called from many
-// goroutines at once. The matcher tables, tag strings and vocabulary orders
-// were all precompiled into the immutable plan by Compile; only window chunk
-// buffers are per-run, and those are recycled through an internal sync.Pool,
-// so steady-state calls do not allocate fresh engine state.
+// goroutines at once. The matcher tables, tag strings, vocabulary orders
+// and scan tables were all precompiled by Compile; only segment buffers are
+// per-run.
 func (p *Prefilter) Project(ctx context.Context, dst io.Writer, src io.Reader, opts ...ProjectOption) (Stats, error) {
 	cfg := resolveOptions(opts)
-	tr := p.newRunTrace(cfg)
+	res, err := run(ctx, p.eng, []io.Writer{dst}, src, cfg, p.newRunTrace(cfg))
+	return res.Aggregate(), singleQueryErr(err)
+}
+
+// run is the one execution path of Project, MultiProject and every Batch
+// job: replay the offered index (see WithIndex) or scan, write the trace
+// (tr may be nil), and fill WithStatsInto.
+func run(ctx context.Context, eng *pipeline.Engine, dsts []io.Writer, src io.Reader, cfg projectConfig, tr *obs.Trace) (pipeline.Result, error) {
 	popts := pipeline.Options{Workers: cfg.workers, ChunkSize: cfg.chunkSize, Trace: tr}
-	var stats Stats
+	var res pipeline.Result
 	var err error
-	switch {
-	case cfg.index != nil:
-		var res pipeline.Result
-		res, err = replayOrScan(ctx, p.projector(), []io.Writer{dst}, src, cfg.index, popts)
-		stats = res.Aggregate()
-		err = singleQueryErr(err)
-	case cfg.workers > 1 || tr != nil:
-		// Traced runs take the staged pipeline even serially: stage
-		// attribution needs the driver, and the output is byte-identical.
-		var res pipeline.Result
-		res, err = p.projector().Project(ctx, []io.Writer{dst}, src, popts)
-		stats = res.Aggregate()
-		err = singleQueryErr(err)
-	default:
-		stats, err = p.engine.ProjectWith(ctx, dst, src, core.RunOptions{ChunkSize: cfg.chunkSize})
+	if cfg.index != nil {
+		res, err = replayOrScan(ctx, eng, dsts, src, cfg.index, popts)
+	} else {
+		res, err = eng.Project(ctx, dsts, src, popts)
 	}
 	err = finishTrace(tr, cfg.traceOut, err)
 	if cfg.statsInto != nil {
-		*cfg.statsInto = stats
+		*cfg.statsInto = res.Aggregate()
 	}
-	return stats, err
+	return res, err
 }
 
 // newRunTrace builds the run's span recorder when WithTrace was given: the
@@ -315,8 +285,7 @@ func finishTrace(tr *obs.Trace, w io.Writer, runErr error) error {
 }
 
 // singleQueryErr unwraps the pipeline's per-query error envelope for K=1
-// surfaces: a single-query run reports its one error directly, exactly as
-// the serial engine does.
+// surfaces: a single-query run reports its one error directly.
 func singleQueryErr(err error) error {
 	var perr *pipeline.Error
 	if errors.As(err, &perr) && len(perr.Errs) == 1 {
@@ -350,13 +319,6 @@ func (p *Prefilter) ProjectFile(ctx context.Context, inPath, outPath string, opt
 	return stats, runErr
 }
 
-// projector returns the lazily built single-query pipeline engine — the
-// K=1 case of the unified K×W pipeline (see internal/pipeline).
-func (p *Prefilter) projector() *pipeline.Engine {
-	p.pipeOnce.Do(func() { p.pipeEng = pipeline.New([]*core.Plan{p.engine.Plan()}) })
-	return p.pipeEng
-}
-
 // MinParallelInput returns the smallest input size, in bytes, that Project
 // with WithWorkers(workers) actually projects in parallel (one segment plus
 // its lookahead); smaller inputs take the serial fallback. Useful for
@@ -369,62 +331,22 @@ func (p *Prefilter) MinParallelInput(workers int, opts ...ProjectOption) int {
 	if cfg.workers > 0 {
 		workers = cfg.workers
 	}
-	return p.projector().MinParallelInput(pipeline.Options{Workers: workers, ChunkSize: cfg.chunkSize})
-}
-
-// Run prefilters the document read from r and writes the projection to w.
-//
-// Deprecated: Run is the v1 spelling of Project with the argument order
-// flipped and no cancellation. Use Project(ctx, w, r).
-func (p *Prefilter) Run(r io.Reader, w io.Writer) (Stats, error) {
-	return p.Project(context.Background(), w, r)
-}
-
-// ProjectBytes prefilters an in-memory document and returns the projection.
-//
-// Deprecated: ProjectBytes is the v1 in-memory convenience. Use
-// Project(ctx, &buf, bytes.NewReader(doc)), which adds cancellation and
-// per-run options.
-func (p *Prefilter) ProjectBytes(doc []byte) ([]byte, Stats, error) {
-	return p.engine.ProjectBytes(context.Background(), doc)
-}
-
-// ProjectParallel is Project with intra-document parallelism.
-//
-// Deprecated: use Project(ctx, dst, src, WithWorkers(workers)) — the same
-// pipeline, with cancellation.
-func (p *Prefilter) ProjectParallel(dst io.Writer, src io.Reader, workers int) (Stats, error) {
-	return p.Project(context.Background(), dst, src, WithWorkers(workers))
-}
-
-// ProjectBytesParallel is ProjectParallel over an in-memory document.
-//
-// Deprecated: use Project with WithWorkers over a bytes.Reader (the
-// streaming pipeline copies segments; the in-memory zero-copy segmentation
-// is an optimization this wrapper alone still reaches).
-func (p *Prefilter) ProjectBytesParallel(doc []byte, workers int) ([]byte, Stats, error) {
-	if workers <= 1 {
-		return p.ProjectBytes(doc)
-	}
-	var out bytes.Buffer
-	out.Grow(len(doc) / 8)
-	res, err := p.projector().ProjectBuffered(context.Background(), []io.Writer{&out}, doc, pipeline.Options{Workers: workers})
-	return out.Bytes(), res.Aggregate(), singleQueryErr(err)
+	return p.eng.MinParallelInput(pipeline.Options{Workers: workers, ChunkSize: cfg.chunkSize})
 }
 
 // Paths returns the projection paths the prefilter preserves, sorted.
 func (p *Prefilter) Paths() []string { return p.set.Strings() }
 
 // CompileStats returns the size of the compiled runtime automaton.
-func (p *Prefilter) CompileStats() CompileStats { return p.table.Stats }
+func (p *Prefilter) CompileStats() CompileStats { return p.plan.Table().Stats }
 
 // PlanStats returns the size and memory footprint of the prefilter's shared
 // execution plan. K concurrent runs hold one copy of this memory, not K.
-func (p *Prefilter) PlanStats() PlanStats { return p.engine.PlanStats() }
+func (p *Prefilter) PlanStats() PlanStats { return p.plan.Stats() }
 
 // DescribeTables renders the compiled lookup tables A, V, J and T in a
 // human-readable form (paper Fig. 3), for inspection and debugging.
-func (p *Prefilter) DescribeTables() string { return p.table.String() }
+func (p *Prefilter) DescribeTables() string { return p.plan.Table().String() }
 
 // ExtractPaths runs the static path extraction of the projection semantics
 // on an XQuery/XPath expression and returns the resulting projection paths

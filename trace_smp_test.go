@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"strings"
 	"testing"
@@ -100,6 +101,74 @@ func TestWithTraceMulti(t *testing.T) {
 	}
 	if !names["compile q0"] || !names["compile q1"] {
 		t.Errorf("per-query compile spans missing (have %v)", keys(names))
+	}
+}
+
+// TestUntracedRunReportsStages checks that stage timing does not depend on
+// a trace: a default Project reports its scan and replay time.
+func TestUntracedRunReportsStages(t *testing.T) {
+	pf, err := Compile(testDTD, "/*, //australia//description#", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, stats := projectBytes(t, pf, []byte(testDoc))
+	if stats.ScanDuration <= 0 {
+		t.Errorf("ScanDuration = %v, want > 0", stats.ScanDuration)
+	}
+	if stats.ReplayDuration <= 0 {
+		t.Errorf("ReplayDuration = %v, want > 0", stats.ReplayDuration)
+	}
+}
+
+// TestTracedRunMatchesOnBadInput checks that a trace observes the run it
+// would have been without one: on truncated and byte-flipped XMark
+// documents, a traced run writes the same bytes before the error and
+// returns the same error as the default run.
+func TestTracedRunMatchesOnBadInput(t *testing.T) {
+	dtdSource, err := DatasetDTD(XMark)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, err := GenerateBytes(XMark, 32<<10, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bad [][]byte
+	for i := 1; i < 40; i++ {
+		n := len(doc) * i / 40
+		bad = append(bad, doc[:n])
+		flipped := append([]byte(nil), doc...)
+		flipped[n] ^= 0x20
+		bad = append(bad, flipped)
+	}
+	failed := 0
+	// The queries whose copy regions most often straddle a truncation.
+	for _, id := range []string{"XM10", "XM13", "XM14"} {
+		q, ok := QueryByID(id)
+		if !ok {
+			t.Fatalf("query %s not found", id)
+		}
+		pf, err := Compile(dtdSource, q.Paths, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, in := range bad {
+			var plain, traced bytes.Buffer
+			_, plainErr := pf.Project(context.Background(), &plain, bytes.NewReader(in), WithChunkSize(4<<10))
+			_, tracedErr := pf.Project(context.Background(), &traced, bytes.NewReader(in), WithChunkSize(4<<10), WithTrace(io.Discard))
+			if plainErr != nil {
+				failed++
+			}
+			if fmt.Sprint(plainErr) != fmt.Sprint(tracedErr) {
+				t.Errorf("%s input %d: default err %v, traced err %v", id, i, plainErr, tracedErr)
+			}
+			if !bytes.Equal(plain.Bytes(), traced.Bytes()) {
+				t.Errorf("%s input %d: traced run wrote %d bytes, default run %d", id, i, traced.Len(), plain.Len())
+			}
+		}
+	}
+	if failed == 0 {
+		t.Fatal("no damaged input failed: the test exercises no error path")
 	}
 }
 

@@ -3,6 +3,7 @@ package smp
 import (
 	"bytes"
 	"context"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -39,26 +40,54 @@ func TestProjectRegularFileZeroCopy(t *testing.T) {
 	if _, err := pf.Project(context.Background(), &want, strings.NewReader(testDoc)); err != nil {
 		t.Fatal(err)
 	}
+	multi, err := NewMultiPrefilter(pf, pf, pf)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	for _, workers := range []int{1, 4} {
+	// Each input projects the file and returns the run's Stats and every
+	// output it wrote; each output must equal the streaming projection.
+	inputs := []struct {
+		name string
+		run  func(f *os.File) (Stats, [][]byte, error)
+	}{
+		{"workers=1", func(f *os.File) (Stats, [][]byte, error) {
+			var got bytes.Buffer
+			stats, err := pf.Project(context.Background(), &got, f, WithWorkers(1))
+			return stats, [][]byte{got.Bytes()}, err
+		}},
+		{"workers=4", func(f *os.File) (Stats, [][]byte, error) {
+			var got bytes.Buffer
+			stats, err := pf.Project(context.Background(), &got, f, WithWorkers(4))
+			return stats, [][]byte{got.Bytes()}, err
+		}},
+		{"multi k=3 workers=1", func(f *os.File) (Stats, [][]byte, error) {
+			outs := make([]bytes.Buffer, 3)
+			var stats Stats
+			_, err := multi.MultiProject(context.Background(), []io.Writer{&outs[0], &outs[1], &outs[2]}, f, WithWorkers(1), WithStatsInto(&stats))
+			return stats, [][]byte{outs[0].Bytes(), outs[1].Bytes(), outs[2].Bytes()}, err
+		}},
+	}
+	for _, input := range inputs {
 		f, err := os.Open(in)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var got bytes.Buffer
-		stats, err := pf.Project(context.Background(), &got, f, WithWorkers(workers))
+		stats, got, err := input.run(f)
 		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+			t.Fatalf("%s: %v", input.name, err)
 		}
 		if !stats.ZeroCopyInput {
-			t.Errorf("workers=%d: regular file input did not take the zero-copy path", workers)
+			t.Errorf("%s: regular file input did not take the zero-copy path", input.name)
 		}
-		if !bytes.Equal(got.Bytes(), want.Bytes()) {
-			t.Errorf("workers=%d: mmap output differs from streaming output", workers)
+		for i, out := range got {
+			if !bytes.Equal(out, want.Bytes()) {
+				t.Errorf("%s: output %d of the mmap run differs from the streaming output", input.name, i)
+			}
 		}
 		// The file must look consumed, exactly as streaming leaves it.
 		if off, _ := f.Seek(0, 1); off != int64(len(testDoc)) {
-			t.Errorf("workers=%d: file offset %d after projection, want %d", workers, off, len(testDoc))
+			t.Errorf("%s: file offset %d after projection, want %d", input.name, off, len(testDoc))
 		}
 		f.Close()
 	}
