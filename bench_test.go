@@ -651,6 +651,70 @@ func BenchmarkMultiQueryParallel(b *testing.B) {
 	}
 }
 
+// BenchmarkReplayMulti measures the sequential K-query replay at K=18: all
+// XMark paper queries over one 4 MiB document, as one W=1 scan-and-replay
+// pass (scan) and as a replay of the document's stored candidate index
+// (replay), which runs the same driver with no scan at all. Both report
+// document bytes per second; every query's output is checked against its
+// standalone run before timing.
+func BenchmarkReplayMulti(b *testing.B) {
+	benchSetup(b)
+	queries := xmlgen.XMarkQueries()
+	pfs := make([]*Prefilter, len(queries))
+	want := make([][]byte, len(queries))
+	for i, q := range queries {
+		pf, err := Compile(xmlgen.XMarkDTD(), q.Paths, Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		var out bytes.Buffer
+		if _, err := pf.Project(context.Background(), &out, bytes.NewReader(benchXMarkDoc)); err != nil {
+			b.Fatal(err)
+		}
+		pfs[i], want[i] = pf, out.Bytes()
+	}
+	mp, err := NewMultiPrefilter(pfs...)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ix := mp.BuildIndex(benchXMarkDoc)
+	for _, mode := range []struct {
+		name string
+		opts []ProjectOption
+	}{
+		{"scan", []ProjectOption{WithWorkers(1)}},
+		{"replay", []ProjectOption{WithIndex(ix)}},
+	} {
+		b.Run(mode.name, func(b *testing.B) {
+			bufs := make([]bytes.Buffer, len(pfs))
+			dsts := make([]io.Writer, len(pfs))
+			for i := range bufs {
+				dsts[i] = &bufs[i]
+			}
+			run := func() {
+				for i := range bufs {
+					bufs[i].Reset()
+				}
+				if _, err := mp.MultiProject(context.Background(), dsts, bytes.NewReader(benchXMarkDoc), mode.opts...); err != nil {
+					b.Fatal(err)
+				}
+			}
+			run()
+			for i := range bufs {
+				if !bytes.Equal(bufs[i].Bytes(), want[i]) {
+					b.Fatalf("%s: K=18 output %d bytes, standalone %d bytes", queries[i].ID, bufs[i].Len(), len(want[i]))
+				}
+			}
+			b.SetBytes(int64(len(benchXMarkDoc)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				run()
+			}
+		})
+	}
+}
+
 // BenchmarkCompile measures the static analysis itself (the paper reports
 // 0.03-0.2s for DTD parsing, path parsing and table construction).
 func BenchmarkCompile(b *testing.B) {

@@ -148,12 +148,13 @@ func replayOrScan(ctx context.Context, eng *pipeline.Engine, dsts []io.Writer, s
 	return replayBound(ctx, eng, dsts, ix, popts)
 }
 
-// replayBound replays a covered, document-verified index. When the
-// per-document summary proves that no query keyword occurs at all, the
-// replay runs over an empty stream without touching the document bytes — the
-// result (output and diagnosis alike) is identical because the driver only
-// reads input bytes to copy output for selected candidates, of which there
-// are none.
+// replayBound replays a covered, document-verified index, its candidates
+// translated to the engine's keyword IDs (a no-copy share when the index
+// was built for exactly this vocabulary). When the per-document summary
+// proves that no query keyword occurs at all, the replay runs over an empty
+// stream without touching the document bytes — the result (output and
+// diagnosis alike) is identical because the driver only reads input bytes
+// to copy output for selected candidates, of which there are none.
 func replayBound(ctx context.Context, eng *pipeline.Engine, dsts []io.Writer, ix *Index, popts pipeline.Options) (pipeline.Result, error) {
 	var res pipeline.Result
 	var err error
@@ -165,7 +166,7 @@ func replayBound(ctx context.Context, eng *pipeline.Engine, dsts []io.Writer, ix
 		}
 		res.Scan.IndexSummarySkips = 1
 	} else {
-		res, err = eng.Replay(ctx, dsts, ix.Doc(), ix.Candidates(), popts)
+		res, err = eng.Replay(ctx, dsts, ix.Doc(), ix.CandidatesFor(eng.ScanPlan()), popts)
 	}
 	res.Scan.IndexHits = 1
 	return res, err

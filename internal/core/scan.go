@@ -39,28 +39,64 @@ import (
 // unique keyword that is valid at Pos, together with the resolved end of its
 // tag. Candidates are reported in strictly increasing Pos order and never
 // overlap.
+//
+// A Candidate holds no pointers — the keyword is an integer ID into the
+// scanning ScanPlan's union vocabulary (Keywords and Tokens order), and a
+// failure is a kind whose error Err rebuilds from Pos — so candidate lists
+// are 32 bytes an entry, never zeroed or scanned by the garbage collector,
+// and the replay selects or skips an entry with one table load.
 type Candidate struct {
 	// Pos is the absolute input offset of the '<' starting the keyword.
 	Pos int64
-	// KwLen is the keyword length in bytes.
-	KwLen int
-	// Token is the tag token the keyword stands for.
-	Token glushkov.Token
 	// TagEnd is the absolute offset of the tag's closing '>' (valid only
-	// when Complete is true and Err is nil).
+	// when Complete is true and Fail is FailNone).
 	TagEnd int64
+	// Kw is the keyword's index in the scanning ScanPlan's Keywords (and
+	// Tokens) order.
+	Kw int32
+	// KwLen is the keyword length in bytes.
+	KwLen int32
 	// Bachelor reports a "/>" tag end (always false for closing tokens,
 	// mirroring the serial engine).
 	Bachelor bool
 	// Complete reports that the tag-end scan finished within the scanned
 	// data — either successfully (TagEnd/Bachelor are valid) or definitely
-	// (Err is set). When false, the tag straddles the segment's data end
+	// (Fail is set). When false, the tag straddles the segment's data end
 	// and the stitcher must resume the scan in the following segment.
 	Complete bool
-	// Err is the error the serial engine would report if it selected this
-	// candidate (tag longer than MaxTagLength, or end of input inside the
-	// tag). It must only be surfaced if the candidate is actually selected.
-	Err error
+	// Fail is the failure the serial engine would report if it selected
+	// this candidate (tag longer than MaxTagLength, or end of input inside
+	// the tag). It must only be surfaced — through Err — if the candidate
+	// is actually selected.
+	Fail FailKind
+}
+
+// FailKind classifies a candidate's tag-end failure. Both failures are
+// determined by the tag's start offset, so the kind and Pos rebuild the
+// exact error. The values are also the persisted sidecar encoding
+// (internal/index) and must not be renumbered.
+type FailKind uint8
+
+const (
+	// FailNone marks a candidate whose tag end resolved (or is still
+	// pending, when Complete is false).
+	FailNone FailKind = iota
+	// FailTagTooLong marks a tag with no '>' within MaxTagLength bytes.
+	FailTagTooLong
+	// FailEOFInsideTag marks a tag cut off by the end of the input.
+	FailEOFInsideTag
+)
+
+// Err returns the error the serial engine reports when it selects the
+// candidate: nil for FailNone, otherwise the position-determined tag error.
+func (c Candidate) Err() error {
+	switch c.Fail {
+	case FailTagTooLong:
+		return TagTooLongError(c.Pos)
+	case FailEOFInsideTag:
+		return EOFInsideTagError(c.Pos)
+	}
+	return nil
 }
 
 // ScanPlan is the immutable scan-side companion of one or more Plans: the
@@ -84,10 +120,12 @@ type ScanPlan struct {
 	// longest first, indexed by the first tagname byte.
 	open, closing [256][]scanKeyword
 	// keywords is the union vocabulary in canonical order (longest first,
-	// ties lexicographic — the bucket insertion order); fp is the FNV-1a
-	// fingerprint of that list. Together they identify the vocabulary a
-	// persisted candidate index was built for (internal/index).
+	// ties lexicographic — the bucket insertion order), and a candidate's Kw
+	// indexes it; tokens[i] is the tag token of keywords[i]. fp is the
+	// FNV-1a fingerprint of the list. Together they identify the vocabulary
+	// a persisted candidate index was built for (internal/index).
 	keywords []string
+	tokens   []glushkov.Token
 	fp       uint64
 	count    int
 	maxKw    int
@@ -96,7 +134,10 @@ type ScanPlan struct {
 
 type scanKeyword struct {
 	pattern []byte
-	token   glushkov.Token
+	// id is the keyword's index in the canonical order, stamped into every
+	// candidate as Kw; closing reports a "</x" keyword.
+	id      int32
+	closing bool
 	// word and mask hold the first min(len(pattern), 8) pattern bytes as a
 	// little-endian word: loading the 8 input bytes at the anchor and testing
 	// load&mask == word verifies those bytes in a single branch-free compare
@@ -140,11 +181,13 @@ func NewScanPlanUnion(plans []*Plan) *ScanPlan {
 		}
 		return order[a] < order[b]
 	})
-	sp := &ScanPlan{plan: plans[0], count: len(order), keywords: order}
+	sp := &ScanPlan{plan: plans[0], count: len(order), keywords: order, tokens: make([]glushkov.Token, len(order))}
 	sp.fp = FingerprintKeywords(order)
 	sp.memSize = 2 * 256 * 24 // the two bucket arrays (slice headers)
-	for _, kw := range order {
-		sk := scanKeyword{pattern: []byte(kw), token: tokens[kw]}
+	for id, kw := range order {
+		tok := tokens[kw]
+		sp.tokens[id] = tok
+		sk := scanKeyword{pattern: []byte(kw), id: int32(id), closing: tok.Close}
 		for b := 0; b < len(sk.pattern) && b < 8; b++ {
 			sk.word |= uint64(sk.pattern[b]) << (8 * b)
 			sk.mask |= 0xFF << (8 * b)
@@ -152,8 +195,8 @@ func NewScanPlanUnion(plans []*Plan) *ScanPlan {
 		if len(kw) > sp.maxKw {
 			sp.maxKw = len(kw)
 		}
-		sp.memSize += int64(len(kw)+len(sk.token.Name)) + 48
-		if sk.token.Close {
+		sp.memSize += int64(len(kw)+len(tok.Name)) + 48
+		if sk.closing {
 			// "</x…": bucket by the byte after the slash.
 			c := sk.pattern[2]
 			sp.closing[c] = append(sp.closing[c], sk)
@@ -179,6 +222,11 @@ func (sp *ScanPlan) MemSize() int64 { return sp.memSize }
 // (longest first, ties lexicographic). The slice is shared read-only state of
 // the plan — callers must not mutate it.
 func (sp *ScanPlan) Keywords() []string { return sp.keywords }
+
+// Tokens returns the tag token of every union keyword, indexed like
+// Keywords — the table that turns a candidate's Kw back into its token. The
+// slice is shared read-only state of the plan — callers must not mutate it.
+func (sp *ScanPlan) Tokens() []glushkov.Token { return sp.tokens }
 
 // Fingerprint returns the FNV-1a hash of the canonical keyword list: the
 // identity of the scanned vocabulary. Two ScanPlans with equal fingerprints
@@ -326,7 +374,8 @@ func (s *SegmentScanner) verifyScalar(data []byte, base int64, pos int, final bo
 	if len(bucket) > 0 {
 		s.inspected++
 	}
-	for _, kw := range bucket {
+	for k := range bucket {
+		kw := &bucket[k]
 		end := pos + len(kw.pattern)
 		if end >= len(data) {
 			continue
@@ -335,18 +384,24 @@ func (s *SegmentScanner) verifyScalar(data []byte, base int64, pos int, final bo
 		if !bytes.Equal(data[pos+1:end], kw.pattern[1:]) {
 			continue
 		}
-		if !isTagTerminator(data[end], kw.token.Close) {
+		if !isTagTerminator(data[end], kw.closing) {
 			s.rejected++
 			continue
 		}
-		c := Candidate{Pos: base + int64(pos), KwLen: len(kw.pattern), Token: kw.token}
-		s.scanTagEnd(data, base, pos, end, final, &c)
-		if c.Token.Close {
-			c.Bachelor = false
-		}
-		return c, true
+		return s.candidate(kw, data, base, pos, end, final), true
 	}
 	return Candidate{}, false
+}
+
+// candidate builds the candidate of a verified keyword and resolves its tag
+// end; both kernels report through it.
+func (s *SegmentScanner) candidate(kw *scanKeyword, data []byte, base int64, pos, end int, final bool) Candidate {
+	c := Candidate{Pos: base + int64(pos), Kw: kw.id, KwLen: int32(len(kw.pattern))}
+	s.scanTagEnd(data, base, pos, end, final, &c)
+	if kw.closing {
+		c.Bachelor = false
+	}
+	return c
 }
 
 // scanTagEnd resolves the tag's closing '>' within the available data,
@@ -368,7 +423,7 @@ func (s *SegmentScanner) scanTagEnd(data []byte, base int64, tagStart, from int,
 		if i+1-tagStart > MaxTagLength {
 			s.inspected += int64(i - from + 1)
 			c.Complete = true
-			c.Err = TagTooLongError(base + int64(tagStart))
+			c.Fail = FailTagTooLong
 			return
 		}
 	}
@@ -377,7 +432,7 @@ func (s *SegmentScanner) scanTagEnd(data []byte, base int64, tagStart, from int,
 	}
 	if final {
 		c.Complete = true
-		c.Err = EOFInsideTagError(base + int64(tagStart))
+		c.Fail = FailEOFInsideTag
 	}
 }
 

@@ -235,7 +235,7 @@ func (s *SegmentScanner) acceptKeyword(kw *scanKeyword, data []byte, base int64,
 	if len(kw.pattern) > 8 && !bytes.Equal(data[pos+8:end], kw.pattern[8:]) {
 		return Candidate{}, false
 	}
-	if kw.token.Close {
+	if kw.closing {
 		if !closeTerm[data[end]] {
 			s.rejected++
 			return Candidate{}, false
@@ -244,10 +244,5 @@ func (s *SegmentScanner) acceptKeyword(kw *scanKeyword, data []byte, base int64,
 		s.rejected++
 		return Candidate{}, false
 	}
-	c := Candidate{Pos: base + int64(pos), KwLen: len(kw.pattern), Token: kw.token}
-	s.scanTagEnd(data, base, pos, end, final, &c)
-	if c.Token.Close {
-		c.Bachelor = false
-	}
-	return c, true
+	return s.candidate(kw, data, base, pos, end, final), true
 }

@@ -2,8 +2,10 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"smp/internal/compile"
 	"smp/internal/dtd"
@@ -51,10 +53,7 @@ func diffKernels(t testing.TB, sp *ScanPlan, data []byte, base int64, owned int,
 	}
 	for i := range got {
 		g, w := got[i], want[i]
-		// Errors are compared by message: the constructors build fresh values.
-		if g.Pos != w.Pos || g.KwLen != w.KwLen || g.Token != w.Token ||
-			g.TagEnd != w.TagEnd || g.Bachelor != w.Bachelor || g.Complete != w.Complete ||
-			fmt.Sprint(g.Err) != fmt.Sprint(w.Err) {
+		if g != w {
 			t.Fatalf("owned=%d final=%v: candidate %d differs\nswar:   %+v\nscalar: %+v\ninput: %q",
 				owned, final, i, g, w, clip(data))
 		}
@@ -142,6 +141,63 @@ func TestScanSWARTailAnchor(t *testing.T) {
 	// Final data cut inside the keyword: no candidate on either kernel.
 	if got := diffKernels(t, sp, doc[:anchor+3], 0, anchor+3, true); len(got) != 0 {
 		t.Fatalf("truncated keyword: got %+v, want none", got)
+	}
+}
+
+// TestCandidateIsPointerFree pins the candidate layout the replay relies
+// on: at most 32 bytes, and no field the garbage collector has to scan.
+func TestCandidateIsPointerFree(t *testing.T) {
+	if size := unsafe.Sizeof(Candidate{}); size > 32 {
+		t.Errorf("unsafe.Sizeof(Candidate{}) = %d, want <= 32", size)
+	}
+	typ := reflect.TypeOf(Candidate{})
+	for i := 0; i < typ.NumField(); i++ {
+		switch f := typ.Field(i); f.Type.Kind() {
+		case reflect.Bool, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		default:
+			t.Errorf("Candidate.%s has kind %s, which may hold a pointer", f.Name, f.Type.Kind())
+		}
+	}
+}
+
+// TestCandidateKeywordIDsAndFailures checks what a candidate carries
+// instead of a token and an error: Kw names the keyword found at Pos in the
+// plan's Keywords/Tokens order, and Err rebuilds each failure's exact error.
+func TestCandidateKeywordIDsAndFailures(t *testing.T) {
+	sp := makeScanPlan(t, prefixScanDTD, "/*, //AbstractText#", "//Abstract#, //ab")
+	doc := []byte("<r><rec><Abstract>a</Abstract><AbstractText>b</AbstractText><ab/></rec></r><ab " + strings.Repeat("x", MaxTagLength) + "><Abstract attr")
+	cands := sp.NewScanner().Scan(nil, doc, 0, len(doc), true)
+	if len(cands) == 0 {
+		t.Fatal("no candidates")
+	}
+	kws, toks := sp.Keywords(), sp.Tokens()
+	if len(toks) != len(kws) {
+		t.Fatalf("%d tokens for %d keywords", len(toks), len(kws))
+	}
+	fails := map[FailKind]int{}
+	for _, c := range cands {
+		kw := kws[c.Kw]
+		if got := string(doc[c.Pos : c.Pos+int64(c.KwLen)]); got != kw {
+			t.Errorf("candidate at %d: Kw %d names %q, document has %q", c.Pos, c.Kw, kw, got)
+		}
+		if toks[c.Kw].Keyword() != kw {
+			t.Errorf("token %v of keyword %q spells %q", toks[c.Kw], kw, toks[c.Kw].Keyword())
+		}
+		fails[c.Fail]++
+		var want error
+		switch c.Fail {
+		case FailTagTooLong:
+			want = TagTooLongError(c.Pos)
+		case FailEOFInsideTag:
+			want = EOFInsideTagError(c.Pos)
+		}
+		if fmt.Sprint(c.Err()) != fmt.Sprint(want) {
+			t.Errorf("candidate at %d: Err() = %v, want %v", c.Pos, c.Err(), want)
+		}
+	}
+	if fails[FailTagTooLong] != 1 || fails[FailEOFInsideTag] != 1 {
+		t.Errorf("failure kinds = %v, want one tag-too-long and one EOF-inside-tag", fails)
 	}
 }
 

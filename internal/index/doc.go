@@ -17,7 +17,10 @@
 // content hash — Bind verifies the document bytes against the recorded
 // sha256 before any replay — and coverage by vocabulary: an index built for
 // keyword set V serves exactly the queries whose union vocabulary is a
-// subset of V. The header also carries a per-document vocabulary summary (a
+// subset of V. Stored candidates name their keyword by its ID in V's
+// canonical order; CandidatesFor hands a replay the stream in its own
+// engine's IDs — the stored slice itself when the vocabularies are equal,
+// a remapped copy without V's extra keywords when V is a superset. The header also carries a per-document vocabulary summary (a
 // first-letter bitmap plus a small Bloom filter over the tag names occurring
 // in the document), so corpus runs can prove "no query keyword occurs here"
 // and skip a document's replay entirely — the paper's prefiltering idea

@@ -22,8 +22,9 @@ import (
 //	  kwIdx    uvarint  index into the keyword table
 //	  ctrl     uvarint  (tagEndDelta << 3) | bachelor<<2 | errKind
 //	                    tagEndDelta = TagEnd - (Pos + KwLen), errKind 0;
-//	                    0 otherwise (errKind 1 = tag too long, 2 = EOF
-//	                    inside tag — both reconstruct from Pos alone)
+//	                    0 otherwise (errKind is the candidate's
+//	                    core.FailKind: 1 = tag too long, 2 = EOF inside
+//	                    tag — both reconstruct from Pos alone)
 //	checksum [8]byte  FNV-1a over everything before it
 //
 // Decode validates every field against the recorded docLen and vocabulary
@@ -46,10 +47,6 @@ func corruptf(format string, args ...any) error {
 
 // Encode serialises the index into a self-validating sidecar.
 func (ix *Index) Encode() ([]byte, error) {
-	kwIdx := make(map[string]int, len(ix.keywords))
-	for i, kw := range ix.keywords {
-		kwIdx[kw] = i
-	}
 	var tmp [binary.MaxVarintLen64]byte
 	buf := make([]byte, 0, 64+len(ix.keywords)*16+len(ix.cands)*6)
 	buf = append(buf, sidecarMagic...)
@@ -70,19 +67,18 @@ func (ix *Index) Encode() ([]byte, error) {
 		if !c.Complete {
 			return nil, fmt.Errorf("index: incomplete candidate at offset %d (sidecars require a final scan)", c.Pos)
 		}
-		ki, ok := kwIdx[c.Token.Keyword()]
-		if !ok {
-			return nil, fmt.Errorf("index: candidate token %v not in vocabulary", c.Token)
+		if c.Kw < 0 || int(c.Kw) >= len(ix.keywords) {
+			return nil, fmt.Errorf("index: candidate at offset %d: keyword ID %d not in the %d-keyword vocabulary", c.Pos, c.Kw, len(ix.keywords))
 		}
-		kind, err := errKindOf(c)
-		if err != nil {
-			return nil, err
+		if c.Fail > core.FailEOFInsideTag {
+			return nil, fmt.Errorf("index: candidate at offset %d: unencodable failure kind %d", c.Pos, c.Fail)
 		}
-		ctrl := uint64(kind)
+		// The wire errKind is the candidate's FailKind value.
+		ctrl := uint64(c.Fail)
 		if c.Bachelor {
 			ctrl |= 1 << 2
 		}
-		if kind == errNone {
+		if c.Fail == core.FailNone {
 			delta := c.TagEnd - (c.Pos + int64(c.KwLen))
 			if delta < 0 {
 				return nil, fmt.Errorf("index: candidate at offset %d has TagEnd before keyword end", c.Pos)
@@ -90,7 +86,7 @@ func (ix *Index) Encode() ([]byte, error) {
 			ctrl |= uint64(delta) << 3
 		}
 		buf = append(buf, tmp[:binary.PutUvarint(tmp[:], uint64(c.Pos-prevPos))]...)
-		buf = append(buf, tmp[:binary.PutUvarint(tmp[:], uint64(ki))]...)
+		buf = append(buf, tmp[:binary.PutUvarint(tmp[:], uint64(c.Kw))]...)
 		buf = append(buf, tmp[:binary.PutUvarint(tmp[:], ctrl)]...)
 		prevPos = c.Pos
 	}
@@ -223,7 +219,6 @@ func Decode(data []byte) (*Index, error) {
 	if core.FingerprintKeywords(ix.keywords) != ix.fp {
 		return nil, corruptf("vocabulary does not match its fingerprint")
 	}
-	ix.tokens = tokensFor(ix.keywords)
 
 	ccCount, err := d.uvarint("candidate count")
 	if err != nil {
@@ -262,31 +257,31 @@ func Decode(data []byte) (*Index, error) {
 		if err != nil {
 			return nil, err
 		}
-		kind := int(ctrl & 3)
+		kind := core.FailKind(ctrl & 3)
 		bachelor := ctrl&(1<<2) != 0
 		tagEndDelta := int64(ctrl >> 3)
 		c := core.Candidate{
 			Pos:      pos,
-			KwLen:    kwLen,
-			Token:    ix.tokens[ki],
+			Kw:       int32(ki),
+			KwLen:    int32(kwLen),
 			Complete: true,
 		}
 		switch kind {
-		case errNone:
+		case core.FailNone:
 			c.TagEnd = pos + int64(kwLen) + tagEndDelta
 			if c.TagEnd >= int64(docLen) {
 				return nil, corruptf("candidate %d: tag end %d beyond document", i, c.TagEnd)
 			}
 			c.Bachelor = bachelor
-		case errTagTooLong, errEOFInside:
+		case core.FailTagTooLong, core.FailEOFInsideTag:
 			if tagEndDelta != 0 || bachelor {
 				return nil, corruptf("candidate %d: error kind %d with tag-end bits", i, kind)
 			}
-			c.Err = errOfKind(kind, pos)
+			c.Fail = kind
 		default:
 			return nil, corruptf("candidate %d: error kind %d", i, kind)
 		}
-		if c.Bachelor && ix.tokens[ki].Close {
+		if c.Bachelor && ix.keywords[ki][1] == '/' {
 			return nil, corruptf("candidate %d: bachelor closing tag", i)
 		}
 		ix.cands[i] = c

@@ -54,7 +54,7 @@ func FuzzIndexDecode(f *testing.F) {
 			if c.Pos+int64(c.KwLen) > ix.DocLen() {
 				t.Fatalf("candidate %d: keyword exceeds document", i)
 			}
-			if c.Err == nil && (c.TagEnd < c.Pos+int64(c.KwLen) || c.TagEnd >= ix.DocLen()) {
+			if c.Fail == core.FailNone && (c.TagEnd < c.Pos+int64(c.KwLen) || c.TagEnd >= ix.DocLen()) {
 				t.Fatalf("candidate %d: tag end %d out of range", i, c.TagEnd)
 			}
 			prev = c.Pos

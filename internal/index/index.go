@@ -3,10 +3,8 @@ package index
 import (
 	"crypto/sha256"
 	"errors"
-	"fmt"
 
 	"smp/internal/core"
-	"smp/internal/glushkov"
 )
 
 // ErrStale reports that the document bytes no longer match the content hash
@@ -25,11 +23,9 @@ var ErrStale = errors.New("index: document does not match the sidecar content ha
 // bytes; callers that share an Index across goroutines bind it once, up
 // front.
 type Index struct {
-	// keywords is the vocabulary in canonical order; kwIdx values in the
-	// candidate stream refer into it. tokens[i] is keywords[i] decoded via
-	// the exact keyword<->token bijection (Token.Keyword).
+	// keywords is the vocabulary in canonical order; the candidates' Kw
+	// IDs index it.
 	keywords []string
-	tokens   []glushkov.Token
 	// fp is FingerprintKeywords(keywords), the fast-path coverage check.
 	fp uint64
 	// docLen and docHash identify the document the stream was scanned from.
@@ -37,9 +33,9 @@ type Index struct {
 	docHash [32]byte
 	// summary answers "may tag name n occur in this document?".
 	summary Summary
-	// cands is the verified candidate stream, strictly increasing in Pos.
-	// Every candidate is Complete (the build scan is final), so replays
-	// never re-resolve tag ends from document bytes.
+	// cands is the verified candidate stream, strictly increasing in Pos,
+	// with Kw IDs into keywords. Every candidate is Complete (the build scan
+	// is final), so replays never re-resolve tag ends from document bytes.
 	cands []core.Candidate
 	// doc is the verified document binding (nil until Bind or Build).
 	doc []byte
@@ -53,7 +49,6 @@ func Build(doc []byte, sp *core.ScanPlan) *Index {
 	keywords := append([]string(nil), sp.Keywords()...)
 	ix := &Index{
 		keywords: keywords,
-		tokens:   tokensFor(keywords),
 		fp:       sp.Fingerprint(),
 		docLen:   int64(len(doc)),
 		docHash:  sha256.Sum256(doc),
@@ -62,21 +57,6 @@ func Build(doc []byte, sp *core.ScanPlan) *Index {
 		doc:      doc,
 	}
 	return ix
-}
-
-// tokensFor decodes each keyword back into its tag token. The mapping is the
-// inverse of Token.Keyword and total on any slice that passed decode-time
-// validation ('<' prefix, optional '/', non-empty name).
-func tokensFor(keywords []string) []glushkov.Token {
-	toks := make([]glushkov.Token, len(keywords))
-	for i, kw := range keywords {
-		if len(kw) >= 2 && kw[1] == '/' {
-			toks[i] = glushkov.Closing(kw[2:])
-		} else {
-			toks[i] = glushkov.Open(kw[1:])
-		}
-	}
-	return toks
 }
 
 // Bind verifies doc against the recorded content hash and, on success,
@@ -106,9 +86,42 @@ func (ix *Index) Fingerprint() uint64 { return ix.fp }
 // not mutate the returned slice.
 func (ix *Index) Keywords() []string { return ix.keywords }
 
-// Candidates returns the stored candidate stream. Callers must not mutate
-// the returned slice.
+// Candidates returns the stored candidate stream, whose Kw IDs index
+// Keywords. Callers must not mutate the returned slice.
 func (ix *Index) Candidates() []core.Candidate { return ix.cands }
+
+// CandidatesFor returns the stored candidate stream with its Kw IDs in sp's
+// keyword order — the ID space pipeline.Engine.Replay expects — for an
+// index that Covers sp. An index built for exactly sp's vocabulary (equal
+// fingerprints) shares the stored slice, uncopied. A covering superset is
+// remapped into a fresh slice that drops the candidates of keywords outside
+// sp's vocabulary: no state of any automaton behind sp searches for them,
+// so the replay would skip them anyway. Callers must not mutate the
+// returned slice.
+func (ix *Index) CandidatesFor(sp *core.ScanPlan) []core.Candidate {
+	if sp.Fingerprint() == ix.fp {
+		return ix.cands
+	}
+	ids := make(map[string]int32, sp.KeywordCount())
+	for i, kw := range sp.Keywords() {
+		ids[kw] = int32(i)
+	}
+	remap := make([]int32, len(ix.keywords))
+	for i, kw := range ix.keywords {
+		remap[i] = -1
+		if id, ok := ids[kw]; ok {
+			remap[i] = id
+		}
+	}
+	out := make([]core.Candidate, 0, len(ix.cands))
+	for _, c := range ix.cands {
+		if id := remap[c.Kw]; id >= 0 {
+			c.Kw = id
+			out = append(out, c)
+		}
+	}
+	return out
+}
 
 // Summary returns the per-document vocabulary summary.
 func (ix *Index) Summary() *Summary { return &ix.summary }
@@ -139,44 +152,10 @@ func (ix *Index) Covers(sp *core.ScanPlan) bool {
 // automaton consumes zero tokens and the projection equals a replay over an
 // empty candidate stream.
 func (ix *Index) SummaryMayMatch(sp *core.ScanPlan) bool {
-	for _, tok := range tokensFor(sp.Keywords()) {
+	for _, tok := range sp.Tokens() {
 		if ix.summary.MayContain(tok.Name) {
 			return true
 		}
 	}
 	return false
-}
-
-// errKind classifies a candidate's Err for encoding. The two producible
-// errors are position-determined (both constructors take the tag's start
-// offset, which is the candidate's Pos), so a kind byte round-trips them
-// exactly.
-const (
-	errNone       = 0
-	errTagTooLong = 1
-	errEOFInside  = 2
-)
-
-func errKindOf(c core.Candidate) (int, error) {
-	if c.Err == nil {
-		return errNone, nil
-	}
-	msg := c.Err.Error()
-	if msg == core.TagTooLongError(c.Pos).Error() {
-		return errTagTooLong, nil
-	}
-	if msg == core.EOFInsideTagError(c.Pos).Error() {
-		return errEOFInside, nil
-	}
-	return 0, fmt.Errorf("index: unencodable candidate error at offset %d: %v", c.Pos, c.Err)
-}
-
-func errOfKind(kind int, pos int64) error {
-	switch kind {
-	case errTagTooLong:
-		return core.TagTooLongError(pos)
-	case errEOFInside:
-		return core.EOFInsideTagError(pos)
-	}
-	return nil
 }

@@ -50,10 +50,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 	for i := range want {
 		g, w := got[i], want[i]
-		sameErr := (g.Err == nil) == (w.Err == nil) &&
-			(g.Err == nil || g.Err.Error() == w.Err.Error())
-		if g.Pos != w.Pos || g.KwLen != w.KwLen || g.Token != w.Token ||
-			g.TagEnd != w.TagEnd || g.Bachelor != w.Bachelor || !g.Complete || !sameErr {
+		if g != w || !g.Complete {
 			t.Fatalf("candidate %d: got %+v, want %+v", i, g, w)
 		}
 	}
@@ -118,6 +115,29 @@ func TestCoversSubsetAndDisjoint(t *testing.T) {
 	otherSP := core.NewScanPlanUnion(testutil.MakePlans(t, testutil.Fig1DTD, []string{"/*, //asia//shipping#"}, core.Options{}))
 	if ix.Covers(otherSP) {
 		t.Fatal("index claims to cover a vocabulary it was not built for")
+	}
+}
+
+// TestCandidatesForRemapsSuperset checks the translation a replay runs
+// on: an index shares its stored stream with an engine of the same
+// vocabulary, and hands a covered subset exactly the stored candidates of
+// the subset's keywords, renumbered to the subset's IDs — the candidates a
+// scan with the subset vocabulary finds.
+func TestCandidatesForRemapsSuperset(t *testing.T) {
+	doc := testutil.BuildFig1Doc(16 << 10)
+	unionSpecs := []string{"/*, //australia//description#", "/*, //item/name#", "/*, //item/payment#"}
+	ix, unionSP := buildFig1Index(t, unionSpecs, doc)
+	if got := ix.CandidatesFor(unionSP); len(got) == 0 || &got[0] != &ix.Candidates()[0] {
+		t.Fatal("CandidatesFor copied the stream for the index's own vocabulary")
+	}
+	subsetSP := core.NewScanPlanUnion(testutil.MakePlans(t, testutil.Fig1DTD, unionSpecs[1:2], core.Options{}))
+	got := ix.CandidatesFor(subsetSP)
+	want := subsetSP.NewScanner().Scan(nil, doc, 0, len(doc), true)
+	if len(want) == 0 || len(want) == len(ix.Candidates()) {
+		t.Fatalf("subset scan found %d of the index's %d candidates; the fixture drops nothing", len(want), len(ix.Candidates()))
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("remapped stream (%d candidates) differs from a subset scan (%d)", len(got), len(want))
 	}
 }
 

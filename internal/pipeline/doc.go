@@ -33,9 +33,11 @@
 //     there are no duplicates and the concatenated lists are sorted.
 //   - In state q at cursor c, the serial engine matches the first valid
 //     occurrence of q's vocabulary at or after c; a replay selects the
-//     first candidate at or after its cursor whose token is in q's
-//     vocabulary. Other queries' tokens (and speculative occurrences the
-//     serial search would have skipped) are invisible to it.
+//     first candidate at or after its cursor whose keyword is in q's
+//     vocabulary — one load from the query's dense [state × union
+//     keyword ID] transition table, which is -1 outside q's vocabulary.
+//     Other queries' keywords (and speculative occurrences the serial
+//     search would have skipped) are invisible to it.
 //   - An open copy region is flushed up to each retired segment boundary;
 //     the serial engine flushes at window boundaries instead, but both
 //     emit the region's bytes contiguously and never beyond the next

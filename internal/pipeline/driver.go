@@ -26,10 +26,14 @@ const (
 type qrun struct {
 	plan  *core.Plan
 	table *compile.Table
+	rt    *replayTable
 	out   io.Writer
 
-	q      int
-	st     *compile.State
+	q  int
+	st *compile.State
+	// row is state q's transition row over the union keyword IDs: the one
+	// load that decides whether a candidate is visible to the query.
+	row    []int32
 	cursor int64
 
 	copyActive bool
@@ -55,6 +59,7 @@ func (k *qrun) live() bool { return !k.done && k.err == nil }
 func (k *qrun) enter(q int) {
 	k.q = q
 	k.st = k.table.State(q)
+	k.row = k.rt.row(q)
 	if len(k.st.Vocabulary) == 0 {
 		k.done = true
 		return
@@ -70,6 +75,11 @@ func (k *qrun) enter(q int) {
 // goroutine, no synchronization; with a parallel source the concurrency
 // lives entirely behind the source's in-order segment stream.
 type driver struct {
+	// tokens and closeOf are the engine's union keyword tables: a
+	// candidate's token, and the closing keyword of a bachelor tag.
+	tokens  []glushkov.Token
+	closeOf []int32
+
 	src      source
 	segs     []*mseg // live chain; segs[0] has sequence number firstSeq
 	firstSeq int
@@ -93,7 +103,7 @@ type driver struct {
 }
 
 func newDriver(e *Engine, dsts []io.Writer, src source, trace *obs.Trace) *driver {
-	d := &driver{src: src, trace: trace}
+	d := &driver{tokens: e.scan.Tokens(), closeOf: e.closeOf, src: src, trace: trace}
 	if trace != nil {
 		trace.NameThread(traceTIDScan, "scan")
 		trace.NameThread(traceTIDReplay, "replay")
@@ -105,7 +115,7 @@ func newDriver(e *Engine, dsts []io.Writer, src source, trace *obs.Trace) *drive
 		if out == nil {
 			out = io.Discard
 		}
-		d.queries[i] = &qrun{plan: plan, table: plan.Table(), out: out}
+		d.queries[i] = &qrun{plan: plan, table: plan.Table(), rt: &e.replay[i], out: out}
 	}
 	return d
 }
@@ -180,26 +190,25 @@ func (d *driver) run() (Result, error) {
 
 // advance feeds k every candidate of every currently loaded segment, in
 // position order. Candidates before the cursor (inside the previous tag, or
-// skipped by a jump) and candidates whose token the current state does not
-// search for are invisible, exactly as they are to a standalone run.
-// Resolving a straddling tag end may load further segments mid-loop;
-// re-reading lastSeq each iteration picks those up.
+// skipped by a jump) and candidates whose keyword the current state does not
+// search for (a -1 in its transition row) are invisible, exactly as they are
+// to a standalone run. Resolving a straddling tag end may load further
+// segments mid-loop; re-reading lastSeq each iteration picks those up.
 func (d *driver) advance(k *qrun) {
 	for k.live() && k.seg <= d.lastSeq() {
-		seg := d.segAt(k.seg)
-		for k.cand < len(seg.cands) {
-			c := &seg.cands[k.cand]
-			k.cand++
-			if c.Pos < k.cursor {
+		cands := d.segAt(k.seg).cands
+		row, cursor := k.row, k.cursor
+		for i := k.cand; i < len(cands); i++ {
+			c := &cands[i]
+			if c.Pos < cursor || row[c.Kw] < 0 {
 				continue
 			}
-			if !vocabHasToken(k.st, c.Token) {
-				continue
-			}
+			k.cand = i + 1
 			d.selectCandidate(k, c)
 			if !k.live() {
 				return
 			}
+			row, cursor = k.row, k.cursor
 		}
 		k.seg++
 		k.cand = 0
@@ -217,26 +226,26 @@ func (d *driver) selectCandidate(k *qrun, c *core.Candidate) {
 		k.err = err
 		return
 	}
-	next := k.table.Successor(k.q, c.Token)
-	if next < 0 {
-		k.err = core.TransitionError(k.q, c.Token)
-		return
-	}
-	if c.Token.Close {
-		d.performClose(k, k.table.State(next), tagEnd, false)
+	// advance only selects keywords in the state's vocabulary, and every
+	// vocabulary entry has a successor.
+	next := int(k.row[c.Kw])
+	if d.tokens[c.Kw].Close {
+		d.performClose(k, next, tagEnd, false)
 		k.q = next
 	} else {
-		d.performOpen(k, k.table.State(next), c.Pos, tagEnd, bachelor)
+		d.performOpen(k, next, c.Pos, tagEnd, bachelor)
 		k.q = next
 		if bachelor {
-			closeTok := glushkov.Closing(c.Token.Name)
-			nextClose := k.table.Successor(k.q, closeTok)
+			nextClose := int32(-1)
+			if ck := d.closeOf[c.Kw]; ck >= 0 {
+				nextClose = k.rt.row(next)[ck]
+			}
 			if nextClose < 0 {
-				k.err = core.TransitionError(k.q, closeTok)
+				k.err = core.TransitionError(k.q, glushkov.Closing(d.tokens[c.Kw].Name))
 				return
 			}
-			d.performClose(k, k.table.State(nextClose), tagEnd, true)
-			k.q = nextClose
+			d.performClose(k, int(nextClose), tagEnd, true)
+			k.q = int(nextClose)
 		}
 	}
 	if k.writeErr != nil {
@@ -255,7 +264,10 @@ func (d *driver) selectCandidate(k *qrun, c *core.Candidate) {
 // end of input inside a tag is the EOF-inside-tag error.
 func (d *driver) resolveTagEnd(k *qrun, c *core.Candidate) (int64, bool, error) {
 	if c.Complete {
-		return c.TagEnd, c.Bachelor, c.Err
+		if c.Fail != core.FailNone {
+			return 0, false, c.Err()
+		}
+		return c.TagEnd, c.Bachelor, nil
 	}
 	var ts core.TagScan
 	i := c.Pos + int64(c.KwLen)
@@ -272,7 +284,7 @@ func (d *driver) resolveTagEnd(k *qrun, c *core.Candidate) (int64, bool, error) 
 			k.stats.CharComparisons++
 			done, bachelor := ts.Feed(data[rel])
 			if done {
-				if c.Token.Close {
+				if d.tokens[c.Kw].Close {
 					bachelor = false
 				}
 				return seg.base + int64(rel), bachelor, nil
@@ -301,41 +313,38 @@ func (d *driver) segmentAt(off int64) (*mseg, error) {
 	}
 }
 
-// performOpen executes the action of the state entered by an opening tag
+// performOpen executes the action of state q, entered by an opening tag
 // (mirror of the serial engine's performOpen, writing to k's output).
-func (d *driver) performOpen(k *qrun, st *compile.State, tagStart, tagEnd int64, bachelor bool) {
-	switch st.Action {
+func (d *driver) performOpen(k *qrun, q int, tagStart, tagEnd int64, bachelor bool) {
+	switch k.table.States[q].Action {
 	case projection.CopySubtree:
 		k.copyActive = true
 		k.copyStart = tagStart
 	case projection.CopyTagAttrs:
 		d.writeRaw(k, tagStart, tagEnd+1)
 	case projection.CopyTag:
-		open, _, bach := k.plan.TagStrings(st)
 		if bachelor {
-			d.writeString(k, bach)
+			d.writeTag(k, k.rt.tags[q].bachelor)
 		} else {
-			d.writeString(k, open)
+			d.writeTag(k, k.rt.tags[q].open)
 		}
 	}
 }
 
-// performClose executes the action of the state entered by a closing tag
+// performClose executes the action of state q, entered by a closing tag
 // (mirror of the serial engine's performClose).
-func (d *driver) performClose(k *qrun, st *compile.State, tagEnd int64, bachelor bool) {
-	switch st.Action {
+func (d *driver) performClose(k *qrun, q int, tagEnd int64, bachelor bool) {
+	switch k.table.States[q].Action {
 	case projection.CopySubtree:
 		if k.copyActive {
 			d.writeRaw(k, k.copyStart, tagEnd+1)
 			k.copyActive = false
 		} else if !bachelor {
-			_, closeTag, _ := k.plan.TagStrings(st)
-			d.writeString(k, closeTag)
+			d.writeTag(k, k.rt.tags[q].close)
 		}
 	case projection.CopyTagAttrs, projection.CopyTag:
 		if !bachelor {
-			_, closeTag, _ := k.plan.TagStrings(st)
-			d.writeString(k, closeTag)
+			d.writeTag(k, k.rt.tags[q].close)
 		}
 	}
 }
@@ -395,8 +404,8 @@ func (d *driver) writeRaw(k *qrun, from, to int64) {
 	}
 }
 
-// writeString writes a synthesized tag to k's output.
-func (d *driver) writeString(k *qrun, str string) {
+// writeTag writes a synthesized tag to k's output.
+func (d *driver) writeTag(k *qrun, tag []byte) {
 	if k.writeErr != nil {
 		return
 	}
@@ -404,7 +413,7 @@ func (d *driver) writeString(k *qrun, str string) {
 	if d.trace != nil {
 		t0 = time.Now()
 	}
-	n, err := io.WriteString(k.out, str)
+	n, err := k.out.Write(tag)
 	if d.trace != nil {
 		d.stitchDur += time.Since(t0)
 	}
@@ -503,15 +512,4 @@ func (d *driver) result() (Result, error) {
 		errs[i] = k.err
 	}
 	return res, &Error{Errs: errs}
-}
-
-// vocabHasToken reports whether the state's frontier vocabulary contains the
-// token (linear scan; vocabularies are small).
-func vocabHasToken(st *compile.State, tok glushkov.Token) bool {
-	for _, kw := range st.Vocabulary {
-		if kw.Token == tok {
-			return true
-		}
-	}
-	return false
 }

@@ -443,8 +443,8 @@ func TestScannerCandidates(t *testing.T) {
 		t.Errorf("candidates = %v, want %v", got, want)
 	}
 	for _, c := range cands {
-		if !c.Complete || c.Err != nil {
-			t.Errorf("candidate at %d: Complete=%v Err=%v", c.Pos, c.Complete, c.Err)
+		if !c.Complete || c.Fail != core.FailNone {
+			t.Errorf("candidate at %d: Complete=%v Err=%v", c.Pos, c.Complete, c.Err())
 		}
 	}
 }

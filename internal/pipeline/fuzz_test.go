@@ -15,6 +15,7 @@ import (
 	"smp/internal/paths"
 	"smp/internal/pipeline"
 	"smp/internal/testutil"
+	"smp/internal/xmlgen"
 )
 
 func mustPlan(dtdSrc, pathSpec string) *core.Plan {
@@ -163,4 +164,124 @@ func FuzzMultiProjectParallel(f *testing.F) {
 				fmt.Sprintf("set %d workers %d seg %d chunk %d", si, workers, segSize, chunk))
 		}
 	})
+}
+
+// replayFixture holds the engines FuzzReplayEquivalence replays a K=18
+// XMark sidecar through: the union engine itself, whose vocabulary equals
+// the sidecar's (the stored stream is shared, uncopied), and K=1 and K=3
+// subsets of it (the stream is remapped to their keyword IDs), plus the
+// generated documents the fuzzer mutates.
+type replayFixture struct {
+	union   *pipeline.Engine
+	subsets []*pipeline.Engine
+	docs    [][]byte
+}
+
+var fuzzReplay = sync.OnceValue(func() replayFixture {
+	schema := dtd.MustParse(xmlgen.XMarkDTD())
+	plans := make(map[string]*core.Plan)
+	var all []*core.Plan
+	for _, q := range xmlgen.XMarkQueries() {
+		table, err := compile.Compile(schema, paths.MustParseSet(q.Paths), compile.Options{})
+		if err != nil {
+			panic(err)
+		}
+		plans[q.ID] = core.NewPlan(table, core.Options{})
+		all = append(all, plans[q.ID])
+	}
+	fx := replayFixture{union: pipeline.New(all)}
+	for _, ids := range [][]string{{"XM6"}, {"XM2", "XM7", "XM14"}} {
+		var sub []*core.Plan
+		for _, id := range ids {
+			sub = append(sub, plans[id])
+		}
+		fx.subsets = append(fx.subsets, pipeline.New(sub))
+	}
+	for seed := uint64(1); seed <= 4; seed++ {
+		fx.docs = append(fx.docs, xmlgen.XMarkBytes(xmlgen.Config{TargetSize: 8 << 10, Seed: seed}))
+	}
+	return fx
+})
+
+// mutateXMark damages a generated document: kind 0 keeps it, 1 truncates it
+// at at, 2 flips the bits of flip into the byte at at, and 3 splices the n
+// bytes at from in at at.
+func mutateXMark(doc []byte, kind uint8, at, from uint16, n, flip uint8) []byte {
+	i, j := int(at)%(len(doc)+1), int(from)%len(doc)
+	switch kind % 4 {
+	case 1:
+		return doc[:i]
+	case 2:
+		out := append([]byte(nil), doc...)
+		if i < len(out) {
+			out[i] ^= flip
+		}
+		return out
+	case 3:
+		span := doc[j:min(j+int(n), len(doc))]
+		out := append(append(append([]byte(nil), doc[:i]...), span...), doc[i:]...)
+		return out
+	}
+	return doc
+}
+
+// FuzzReplayEquivalence replays the K=18 union sidecar of damaged XMark
+// documents through the union engine (no-copy path) and through K=1 and
+// K=3 subset engines (remap path), and requires each replay to write the
+// same bytes and return the same error as a scan of the same document.
+func FuzzReplayEquivalence(f *testing.F) {
+	f.Add(uint8(0), uint8(0), uint16(0), uint16(0), uint8(0), uint8(0), uint16(0))
+	f.Add(uint8(1), uint8(1), uint16(4000), uint16(0), uint8(0), uint8(0), uint16(300))
+	f.Add(uint8(2), uint8(1), uint16(6001), uint16(0), uint8(0), uint8(0), uint16(2000))
+	f.Add(uint8(3), uint8(2), uint16(1234), uint16(0), uint8(0), uint8(0x20), uint16(64))
+	f.Add(uint8(0), uint8(2), uint16(777), uint16(0), uint8(0), uint8('<'^'a'), uint16(900))
+	f.Add(uint8(1), uint8(3), uint16(3000), uint16(5000), uint8(200), uint8(0), uint16(128))
+	f.Add(uint8(2), uint8(3), uint16(100), uint16(7000), uint8(33), uint8(0), uint16(4096))
+
+	f.Fuzz(func(t *testing.T, docRaw, kind uint8, at, from uint16, n, flip uint8, chunkRaw uint16) {
+		fx := fuzzReplay()
+		doc := mutateXMark(fx.docs[int(docRaw)%len(fx.docs)], kind, at, from, n, flip)
+		opts := pipeline.Options{ChunkSize: 64 + int(chunkRaw%4096)}
+		ix := testutil.RoundTripIndex(t, fx.union, doc)
+		if cands := ix.CandidatesFor(fx.union.ScanPlan()); len(cands) > 0 && &cands[0] != &ix.Candidates()[0] {
+			t.Fatal("replay through the sidecar's own vocabulary copied the stored stream")
+		}
+		for _, eng := range append([]*pipeline.Engine{fx.union}, fx.subsets...) {
+			if !ix.Covers(eng.ScanPlan()) {
+				t.Fatalf("K=%d: the union sidecar does not cover the engine", eng.Len())
+			}
+			scanOut, scanErr := runOutputs(eng, func(dsts []io.Writer) error {
+				_, err := eng.ProjectBuffered(context.Background(), dsts, doc, opts)
+				return err
+			})
+			replayOut, replayErr := runOutputs(eng, func(dsts []io.Writer) error {
+				_, err := eng.Replay(context.Background(), dsts, ix.Doc(), ix.CandidatesFor(eng.ScanPlan()), opts)
+				return err
+			})
+			if fmt.Sprint(scanErr) != fmt.Sprint(replayErr) {
+				t.Fatalf("K=%d chunk %d: scan err %v, replay err %v", eng.Len(), opts.ChunkSize, scanErr, replayErr)
+			}
+			for i := range scanOut {
+				if !bytes.Equal(scanOut[i], replayOut[i]) {
+					t.Fatalf("K=%d chunk %d query %d: scan wrote %d bytes, replay %d", eng.Len(), opts.ChunkSize, i, len(scanOut[i]), len(replayOut[i]))
+				}
+			}
+		}
+	})
+}
+
+// runOutputs runs one projection into fresh buffers and returns each
+// query's bytes with the run's error.
+func runOutputs(eng *pipeline.Engine, run func([]io.Writer) error) ([][]byte, error) {
+	bufs := make([]bytes.Buffer, eng.Len())
+	dsts := make([]io.Writer, eng.Len())
+	for i := range dsts {
+		dsts[i] = &bufs[i]
+	}
+	err := run(dsts)
+	outs := make([][]byte, len(bufs))
+	for i := range bufs {
+		outs[i] = bufs[i].Bytes()
+	}
+	return outs, err
 }

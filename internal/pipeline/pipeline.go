@@ -8,6 +8,7 @@ import (
 	"os"
 
 	"smp/internal/core"
+	"smp/internal/glushkov"
 	"smp/internal/mmapio"
 	"smp/internal/obs"
 )
@@ -35,13 +36,69 @@ type Options struct {
 }
 
 // Engine is a compiled K-query projection: K immutable per-query plans
-// merged behind one union-vocabulary scan table. An Engine is built once
-// (New) and never mutated afterwards, so it is safe for concurrent use by
-// multiple goroutines — every Project call allocates its own run state.
+// merged behind one union-vocabulary scan table, plus each plan's dense
+// replay table over that union. An Engine is built once (New) and never
+// mutated afterwards, so it is safe for concurrent use by multiple
+// goroutines — every Project call allocates its own run state.
 type Engine struct {
 	plans []*core.Plan
 	scan  *core.ScanPlan
 	chunk int
+
+	// replay[i] is plan i's automaton over the union keyword IDs.
+	replay []replayTable
+	// closeOf[kw] is the union ID of the closing keyword "</x" for an
+	// opening keyword "<x" (the second half of a bachelor tag), or -1 when
+	// kw is closing or "</x" is not in the union — no state then has a
+	// transition on it.
+	closeOf []int32
+}
+
+// replayTable is one plan's Fig. 4 automaton re-indexed for the replay: the
+// transition table A over union keyword IDs instead of token maps, and the
+// synthesized tag bytes of table T's CopyTag action.
+type replayTable struct {
+	// trans[q*nkw+kw] is state q's successor on keyword kw, or -1 when kw
+	// is not in q's vocabulary (V). The compiled vocabulary of a state is
+	// exactly the key set of its transitions, so every entry of V has a
+	// successor and -1 means "invisible to this state".
+	trans []int32
+	nkw   int
+	// tags[q] holds the serializations of the tag entering state q.
+	tags []tagBytes
+}
+
+// tagBytes are the synthesized forms of one tag, precomputed as bytes so
+// writing them never converts (io.WriteString allocates on writers without
+// a WriteString method).
+type tagBytes struct {
+	open, close, bachelor []byte
+}
+
+// row returns state q's slice of the transition table.
+func (t *replayTable) row(q int) []int32 { return t.trans[q*t.nkw : (q+1)*t.nkw] }
+
+// newReplayTable compiles plan's automaton over the union vocabulary.
+func newReplayTable(plan *core.Plan, ids map[string]int32) replayTable {
+	table := plan.Table()
+	nkw := len(ids)
+	t := replayTable{
+		trans: make([]int32, len(table.States)*nkw),
+		nkw:   nkw,
+		tags:  make([]tagBytes, len(table.States)),
+	}
+	for i := range t.trans {
+		t.trans[i] = -1
+	}
+	for _, st := range table.States {
+		row := t.row(st.ID)
+		for _, kw := range st.Vocabulary {
+			row[ids[kw.Keyword]] = int32(table.Successor(st.ID, kw.Token))
+		}
+		open, closeTag, bachelor := plan.TagStrings(st)
+		t.tags[st.ID] = tagBytes{open: []byte(open), close: []byte(closeTag), bachelor: []byte(bachelor)}
+	}
+	return t
 }
 
 // New merges the compiled plans of K queries into one projection engine.
@@ -59,7 +116,26 @@ func New(plans []*core.Plan) *Engine {
 			chunk = c
 		}
 	}
-	return &Engine{plans: plans, scan: core.NewScanPlanUnion(plans), chunk: chunk}
+	e := &Engine{plans: plans, scan: core.NewScanPlanUnion(plans), chunk: chunk}
+	keywords := e.scan.Keywords()
+	ids := make(map[string]int32, len(keywords))
+	for i, kw := range keywords {
+		ids[kw] = int32(i)
+	}
+	e.closeOf = make([]int32, len(keywords))
+	for i, tok := range e.scan.Tokens() {
+		e.closeOf[i] = -1
+		if !tok.Close {
+			if id, ok := ids[glushkov.Closing(tok.Name).Keyword()]; ok {
+				e.closeOf[i] = id
+			}
+		}
+	}
+	e.replay = make([]replayTable, len(plans))
+	for i, p := range plans {
+		e.replay[i] = newReplayTable(p, ids)
+	}
+	return e
 }
 
 // Len returns the number of merged queries.

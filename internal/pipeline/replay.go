@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"context"
+	"fmt"
 	"io"
 
 	"smp/internal/core"
@@ -80,7 +81,11 @@ func (s *replaySource) close(st *core.Stats) {
 // every query (see internal/index: Covers gates this, Bind gates staleness).
 //
 // cands must be strictly increasing in Pos with every candidate Complete —
-// the shape internal/index.Build records and Decode validates. The replay is
+// the shape internal/index.Build records and Decode validates — and each
+// Kw is an ID in this engine's union vocabulary, i.e. an index into
+// e.ScanPlan().Keywords(). A stream stored for another vocabulary must be
+// translated first (internal/index: CandidatesFor); a Kw outside the
+// vocabulary fails the run before anything is written. The replay is
 // sequential (opts.Workers is ignored: the scan was the parallel part, and
 // it already happened); opts.ChunkSize sets the segment granularity, which
 // only affects retirement batching, not output. doc may be nil when cands is
@@ -91,6 +96,12 @@ func (e *Engine) Replay(ctx context.Context, dsts []io.Writer, doc []byte, cands
 	dsts, chunk, err := e.resolve(dsts, opts)
 	if err != nil {
 		return Result{}, err
+	}
+	nkw := int32(e.scan.KeywordCount())
+	for i := range cands {
+		if kw := cands[i].Kw; kw < 0 || kw >= nkw {
+			return Result{}, fmt.Errorf("pipeline: replay candidate %d at offset %d: keyword ID %d outside the engine's %d-keyword vocabulary", i, cands[i].Pos, kw, nkw)
+		}
 	}
 	segSize := chunk
 	if segSize < 64 {

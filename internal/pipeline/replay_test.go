@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"io"
+	"strings"
 	"testing"
 
 	"smp/internal/core"
@@ -110,5 +111,27 @@ func TestReplayCancelledContext(t *testing.T) {
 	_, err := eng.Replay(ctx, []io.Writer{io.Discard}, ix.Doc(), ix.Candidates(), pipeline.Options{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("Replay with cancelled ctx = %v, want context.Canceled", err)
+	}
+}
+
+// TestReplayRejectsForeignKeywordIDs checks that a candidate stream in the
+// wrong ID space fails the run with an error, before any output, instead of
+// indexing past the replay tables.
+func TestReplayRejectsForeignKeywordIDs(t *testing.T) {
+	doc := testutil.BuildFig1Doc(8 << 10)
+	plans := testutil.MakePlans(t, testutil.Fig1DTD, []string{"/*, //item/name#"}, core.Options{})
+	eng := pipeline.New(plans)
+	ix := index.Build(doc, eng.ScanPlan())
+	for _, kw := range []int32{-1, int32(eng.ScanPlan().KeywordCount())} {
+		cands := append([]core.Candidate(nil), ix.Candidates()...)
+		cands[len(cands)/2].Kw = kw
+		var buf bytes.Buffer
+		_, err := eng.Replay(context.Background(), []io.Writer{&buf}, doc, cands, pipeline.Options{})
+		if err == nil || !strings.Contains(err.Error(), "outside the engine's") {
+			t.Errorf("Kw %d: Replay err = %v, want an out-of-vocabulary error", kw, err)
+		}
+		if buf.Len() != 0 {
+			t.Errorf("Kw %d: Replay wrote %d bytes before failing", kw, buf.Len())
+		}
 	}
 }

@@ -502,7 +502,7 @@ func (g Grid) checkCell(t *testing.T, eng *pipeline.Engine, doc []byte, want [][
 		for i := range dsts {
 			dsts[i] = &bufs[i]
 		}
-		_, err := eng.Replay(ctx, dsts, c.ix.Doc(), c.ix.Candidates(), opts)
+		_, err := eng.Replay(ctx, dsts, c.ix.Doc(), c.ix.CandidatesFor(eng.ScanPlan()), opts)
 		errs := PerQueryErrors(t, err, k)
 		outs := make([][]byte, k)
 		for i := range bufs {

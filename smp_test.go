@@ -3,6 +3,7 @@ package smp
 import (
 	"bytes"
 	"context"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -273,5 +274,52 @@ func TestQueryByIDPublic(t *testing.T) {
 	}
 	if _, ok := QueryByID("nope"); ok {
 		t.Error("QueryByID(nope) must fail")
+	}
+}
+
+// writeOnly is a destination with nothing but Write — no WriteString, no
+// ReadFrom — like a socket or a hash behind an interface.
+type writeOnly struct{ n int }
+
+func (w *writeOnly) Write(p []byte) (int, error) {
+	w.n += len(p)
+	return len(p), nil
+}
+
+// TestProjectWriteOnlyWriterAllocations checks that synthesized tags cost
+// no allocation on a writer without WriteString: a default Project of XM2
+// into such a writer allocates no more than the same run into a
+// bytes.Buffer (whose growth it does not even pay) plus a small constant.
+func TestProjectWriteOnlyWriterAllocations(t *testing.T) {
+	dtdSrc, err := DatasetDTD(XMark)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, _ := QueryByID("XM2")
+	pf, err := Compile(dtdSrc, q.Paths, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, size := range []int64{256 << 10, 1 << 20} {
+		doc, err := GenerateBytes(XMark, size, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		project := func(dst io.Writer) {
+			if _, err := pf.Project(context.Background(), dst, bytes.NewReader(doc)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sink := &writeOnly{}
+		project(sink)
+		if sink.n == 0 {
+			t.Fatalf("%d bytes: XM2 wrote nothing", size)
+		}
+		buffered := testing.AllocsPerRun(5, func() { project(new(bytes.Buffer)) })
+		unbuffered := testing.AllocsPerRun(5, func() { project(sink) })
+		t.Logf("%d bytes: %.0f allocations into a Write-only writer, %.0f into a bytes.Buffer", size, unbuffered, buffered)
+		if unbuffered > buffered+8 {
+			t.Errorf("%d bytes: %.0f allocations into a Write-only writer, %.0f into a bytes.Buffer", size, unbuffered, buffered)
+		}
 	}
 }

@@ -172,6 +172,92 @@ func TestTracedRunMatchesOnBadInput(t *testing.T) {
 	}
 }
 
+// TestBadInputAgreesAcrossPaths pins the bad-input contract across the
+// execution paths a caller can pick: on truncated, byte-flipped and spliced
+// XMark documents, the serial run, a W=2 run, a replay of the query's own
+// sidecar and a replay of a K=18 superset sidecar write the same bytes
+// before the error and return the same error.
+func TestBadInputAgreesAcrossPaths(t *testing.T) {
+	dtdSource, err := DatasetDTD(XMark)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, err := GenerateBytes(XMark, 32<<10, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bad [][]byte
+	for i := 1; i < 20; i++ {
+		n := len(doc) * i / 20
+		bad = append(bad, doc[:n])
+		flipped := append([]byte(nil), doc...)
+		flipped[n] ^= 0x20
+		bad = append(bad, flipped)
+		m := len(doc) * (20 - i) / 21
+		spliced := append(append(append([]byte(nil), doc[:n]...), doc[m:m+200]...), doc[n:]...)
+		bad = append(bad, spliced)
+	}
+	queries, err := BenchmarkQueries(XMark)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pfs []*Prefilter
+	for _, q := range queries {
+		pf, err := Compile(dtdSource, q.Paths, Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", q.ID, err)
+		}
+		pfs = append(pfs, pf)
+	}
+	union, err := NewMultiPrefilter(pfs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type run struct {
+		out   []byte
+		err   error
+		stats Stats
+	}
+	project := func(pf *Prefilter, in []byte, opts ...ProjectOption) run {
+		var buf bytes.Buffer
+		stats, err := pf.Project(context.Background(), &buf, bytes.NewReader(in), append(opts, WithChunkSize(4<<10))...)
+		return run{buf.Bytes(), err, stats}
+	}
+	failed := 0
+	for i, in := range bad {
+		superIx := union.BuildIndex(in)
+		for qi, pf := range pfs {
+			serial := project(pf, in)
+			if serial.err != nil {
+				failed++
+			}
+			for _, other := range []struct {
+				path    string
+				run     run
+				replays bool
+			}{
+				{"workers=2", project(pf, in, WithWorkers(2)), false},
+				{"own sidecar", project(pf, in, WithIndex(pf.BuildIndex(in))), true},
+				{"K=18 sidecar", project(pf, in, WithIndex(superIx)), true},
+			} {
+				if other.replays && other.run.stats.IndexHits != 1 {
+					t.Fatalf("%s input %d %s: the run did not replay the sidecar", queries[qi].ID, i, other.path)
+				}
+				if fmt.Sprint(serial.err) != fmt.Sprint(other.run.err) {
+					t.Errorf("%s input %d %s: serial err %v, got %v", queries[qi].ID, i, other.path, serial.err, other.run.err)
+				}
+				if !bytes.Equal(serial.out, other.run.out) {
+					t.Errorf("%s input %d %s: wrote %d bytes, serial %d", queries[qi].ID, i, other.path, len(other.run.out), len(serial.out))
+				}
+			}
+		}
+	}
+	if failed == 0 {
+		t.Fatal("no damaged input failed: the test exercises no error path")
+	}
+	t.Logf("%d runs per path, %d failing", len(bad)*len(pfs), failed)
+}
+
 func keys(m map[string]bool) []string {
 	out := make([]string, 0, len(m))
 	for k := range m {
