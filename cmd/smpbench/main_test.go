@@ -232,7 +232,7 @@ func TestRunIndexMode(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := stdout.String()
-	for _, want := range []string{"Persistent candidate index", "XM13", "M4", "Speedup", "byte-compared against the scan path"} {
+	for _, want := range []string{"Persistent candidate index", "XM13", "M4", "Build (scans)", "Speedup", "byte-compared against the scan path"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
 		}
@@ -244,6 +244,14 @@ func TestRunIndexMode(t *testing.T) {
 	}
 	if len(trajectory) != 1 {
 		t.Fatalf("trajectory has %d points, want 1", len(trajectory))
+	}
+	// The point names the machine and toolchain it measured on.
+	p := trajectory[0]
+	if p.CPU == "" || p.GOMAXPROCS != runtime.GOMAXPROCS(0) || p.Go != runtime.Version() {
+		t.Errorf("point provenance cpu=%q gomaxprocs=%d go=%q, want the running machine's", p.CPU, p.GOMAXPROCS, p.Go)
+	}
+	if p.Dirty == nil && p.Rev != "unknown" {
+		t.Error("point inside a git checkout does not record whether the tree was dirty")
 	}
 	keys := map[string]bool{}
 	for _, r := range trajectory[0].Records {
@@ -379,5 +387,42 @@ func TestRunCompare(t *testing.T) {
 	// Missing -against is a usage error.
 	if err := run(context.Background(), []string{"-compare", basePath}, &stdout, &stderr); err == nil {
 		t.Error("compare without -against succeeded")
+	}
+}
+
+// TestTrajectoryProvenanceFields checks that points without the machine
+// fields (written before they existed) still load, and that the fields
+// survive a round trip.
+func TestTrajectoryProvenanceFields(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "traj.json")
+	legacy := `[{"rev":"aaa","date":"2026-01-01","records":[{"mode":"scan","k":1,"w":1,"input":"scan","mbps":1}]}]`
+	if err := os.WriteFile(path, []byte(legacy), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	traj, err := readTrajectory(path)
+	if err != nil {
+		t.Fatalf("legacy point: %v", err)
+	}
+	if p := traj[0]; p.Dirty != nil || p.CPU != "" || p.GOMAXPROCS != 0 || p.Go != "" {
+		t.Fatalf("legacy point gained provenance: %+v", p)
+	}
+	data, err := json.Marshal(traj[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{"dirty", "cpu", "gomaxprocs", `"go"`} {
+		if strings.Contains(string(data), key) {
+			t.Errorf("legacy point re-encodes with %s: %s", key, data)
+		}
+	}
+
+	clean := false
+	writeTrajectory(t, path, []benchPoint{{Rev: "bbb", Dirty: &clean, CPU: "cpu", GOMAXPROCS: 3, Go: "go1.x"}})
+	traj, err = readTrajectory(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p := traj[0]; p.Dirty == nil || *p.Dirty || p.CPU != "cpu" || p.GOMAXPROCS != 3 || p.Go != "go1.x" {
+		t.Fatalf("provenance did not round-trip: %+v", p)
 	}
 }

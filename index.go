@@ -86,7 +86,10 @@ func (m *MultiPrefilter) IndexCovers(ix *Index) bool {
 // A bound index (built this process, or Bind-verified) carries its document
 // bytes: the run then reads nothing from src, which may be nil. An unbound
 // index makes the run materialize src first (memory-mapping regular files)
-// to verify the content hash.
+// to verify the content hash. That verification binds the run, not ix: an
+// unbound index stays unbound, so one ReadIndex result can serve any number
+// of runs — in sequence or concurrently, over the same document or others —
+// each checked against its own bytes.
 func WithIndex(ix *Index) ProjectOption {
 	return func(c *projectConfig) { c.index = ix }
 }
@@ -113,16 +116,19 @@ func replayOrScan(ctx context.Context, eng *pipeline.Engine, dsts []io.Writer, s
 	}
 
 	// The index is unbound: materialize the document to verify its content
-	// hash. Regular files are memory-mapped and left looking consumed (the
-	// offset advances past the scanned bytes), exactly as the scan path
-	// leaves them.
+	// hash. The verified binding is the run's own (BoundTo): the caller's
+	// index stays unbound, so it never outlives a mapping this run unmaps
+	// and never carries this document into a later run over another one.
+	// Regular files are memory-mapped and left looking consumed (the offset
+	// advances past the scanned bytes), exactly as the scan path leaves
+	// them.
 	if f, ok := src.(*os.File); ok {
 		if m, mapErr := mmapio.Map(f); mapErr == nil {
 			defer m.Close()
 			var res pipeline.Result
 			var err error
-			if ix.Bind(m.Bytes()) == nil {
-				res, err = replayBound(ctx, eng, dsts, ix, popts)
+			if bound, bindErr := ix.BoundTo(m.Bytes()); bindErr == nil {
+				res, err = replayBound(ctx, eng, dsts, bound, popts)
 			} else {
 				res, err = eng.ProjectBuffered(ctx, dsts, m.Bytes(), popts)
 				res.Scan.IndexSkips = 1
@@ -140,12 +146,13 @@ func replayOrScan(ctx context.Context, eng *pipeline.Engine, dsts []io.Writer, s
 		res.Scan.IndexSkips = 1
 		return res, err
 	}
-	if ix.Bind(doc) != nil {
+	bound, bindErr := ix.BoundTo(doc)
+	if bindErr != nil {
 		res, err := eng.ProjectBuffered(ctx, dsts, doc, popts)
 		res.Scan.IndexSkips = 1
 		return res, err
 	}
-	return replayBound(ctx, eng, dsts, ix, popts)
+	return replayBound(ctx, eng, dsts, bound, popts)
 }
 
 // replayBound replays a covered, document-verified index, its candidates

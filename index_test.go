@@ -3,6 +3,7 @@ package smp
 import (
 	"bytes"
 	"context"
+	"errors"
 	"io"
 	"os"
 	"path/filepath"
@@ -89,6 +90,124 @@ func TestWithIndexSidecarRoundTripFromFile(t *testing.T) {
 	// The file must look consumed, as the scan path leaves it.
 	if off, _ := f.Seek(0, io.SeekCurrent); off != int64(len(doc)) {
 		t.Fatalf("file offset after indexed run = %d, want %d", off, len(doc))
+	}
+}
+
+// TestWithIndexUnboundReusedAcrossFileRuns runs one ReadIndex result over
+// the same file three times. Each run maps the file, verifies it and unmaps
+// it again, so none may leave the index bound to its mapping.
+func TestWithIndexUnboundReusedAcrossFileRuns(t *testing.T) {
+	pf, doc, want, ix := indexFixture(t)
+	docPath := filepath.Join(t.TempDir(), "doc.xml")
+	if err := os.WriteFile(docPath, doc, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.WriteFile(IndexSidecarPath(docPath)); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := ReadIndex(IndexSidecarPath(docPath))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for run := 0; run < 3; run++ {
+		f, err := os.Open(docPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out bytes.Buffer
+		var st Stats
+		_, err = pf.Project(context.Background(), &out, f, WithIndex(loaded), WithStatsInto(&st))
+		f.Close()
+		if err != nil {
+			t.Fatalf("run %d: %v", run, err)
+		}
+		if !bytes.Equal(out.Bytes(), want) || st.IndexHits != 1 {
+			t.Fatalf("run %d: IndexHits = %d, output equal = %v", run, st.IndexHits, bytes.Equal(out.Bytes(), want))
+		}
+		if loaded.Bound() {
+			t.Fatalf("run %d bound the caller's index", run)
+		}
+	}
+}
+
+// TestWithIndexUnboundDoesNotCarryDocument offers one unbound index to a run
+// over the document it was built for and then to a run over another one:
+// the second run must verify its own bytes and fall back to the scan, not
+// replay the first run's document.
+func TestWithIndexUnboundDoesNotCarryDocument(t *testing.T) {
+	pf, docA, wantA, ix := indexFixture(t)
+	enc, err := ix.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	unbound, err := DecodeIndex(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	docB, err := GenerateBytes(XMark, 96<<10, 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantB, _ := projectBytes(t, pf, docB)
+	if bytes.Equal(wantA, wantB) {
+		t.Fatal("fixture documents project identically")
+	}
+	for _, run := range []struct {
+		doc, want []byte
+		hits      int64
+	}{{docA, wantA, 1}, {docB, wantB, 0}, {docA, wantA, 1}} {
+		var out bytes.Buffer
+		var st Stats
+		if _, err := pf.Project(context.Background(), &out, bytes.NewReader(run.doc), WithIndex(unbound), WithStatsInto(&st)); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(out.Bytes(), run.want) {
+			t.Fatalf("projection of a %d-byte document differs from its scan (IndexHits = %d)", len(run.doc), st.IndexHits)
+		}
+		if st.IndexHits != run.hits || st.IndexHits+st.IndexSkips != 1 {
+			t.Fatalf("IndexHits = %d, IndexSkips = %d, want %d hits", st.IndexHits, st.IndexSkips, run.hits)
+		}
+	}
+	if unbound.Bound() {
+		t.Fatal("runs bound the caller's index")
+	}
+}
+
+// TestWithIndexUnboundSharedAcrossGoroutines shares one unbound index
+// between concurrent runs; under -race it checks that verifying the
+// document writes nothing the runs share.
+func TestWithIndexUnboundSharedAcrossGoroutines(t *testing.T) {
+	pf, doc, want, ix := indexFixture(t)
+	enc, err := ix.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	unbound, err := DecodeIndex(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	errs := make(chan error, 2)
+	for g := 0; g < 2; g++ {
+		go func() {
+			for run := 0; run < 4; run++ {
+				var out bytes.Buffer
+				var st Stats
+				if _, err := pf.Project(context.Background(), &out, bytes.NewReader(doc), WithIndex(unbound), WithStatsInto(&st)); err != nil {
+					errs <- err
+					return
+				}
+				if !bytes.Equal(out.Bytes(), want) || st.IndexHits != 1 {
+					errs <- errors.New("concurrent indexed run differs from the scan or missed the index")
+					return
+				}
+			}
+			errs <- nil
+		}()
+	}
+	for g := 0; g < 2; g++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -66,6 +66,22 @@ func zeroLanes(x uint64) uint64 {
 	return ^(((x & swarLo7) + swarLo7) | x | swarLo7)
 }
 
+// AnchorMask returns the '<' anchors of the 64-byte block b[:64] as a
+// bitmask: bit k is set exactly when b[k] == '<'. It is the scan kernel's
+// per-block anchor step, exported for other anchor sweeps (the sidecar
+// summary in internal/index). b must hold at least 64 bytes.
+func AnchorMask(b []byte) uint64 {
+	_ = b[63]
+	return (zeroLanes(binary.LittleEndian.Uint64(b)^anchorBroadcast)*movemaskMul)>>56 |
+		(zeroLanes(binary.LittleEndian.Uint64(b[8:])^anchorBroadcast)*movemaskMul)>>56<<8 |
+		(zeroLanes(binary.LittleEndian.Uint64(b[16:])^anchorBroadcast)*movemaskMul)>>56<<16 |
+		(zeroLanes(binary.LittleEndian.Uint64(b[24:])^anchorBroadcast)*movemaskMul)>>56<<24 |
+		(zeroLanes(binary.LittleEndian.Uint64(b[32:])^anchorBroadcast)*movemaskMul)>>56<<32 |
+		(zeroLanes(binary.LittleEndian.Uint64(b[40:])^anchorBroadcast)*movemaskMul)>>56<<40 |
+		(zeroLanes(binary.LittleEndian.Uint64(b[48:])^anchorBroadcast)*movemaskMul)>>56<<48 |
+		(zeroLanes(binary.LittleEndian.Uint64(b[56:])^anchorBroadcast)*movemaskMul)>>56<<56
+}
+
 // scanSWAR is the multi-anchor kernel: one load per 8 input bytes, one
 // trailing-zeros step per anchor. Counters mirror the scalar anchor hop
 // exactly — Shifts counts anchors, ShiftTotal the hop distances, and

@@ -250,3 +250,30 @@ func BenchmarkScanKernel(b *testing.B) {
 		})
 	}
 }
+
+// TestAnchorMask checks the exported block mask bit for bit against a byte
+// loop, including '<' next to the bytes (0x3B, 0x3D, 0xBC) that differ from
+// it in one bit and lanes after a match, where a borrowing haszero would
+// report false positives.
+func TestAnchorMask(t *testing.T) {
+	blocks := [][]byte{
+		make([]byte, 64),
+		[]byte(strings.Repeat("<", 64)),
+		[]byte(strings.Repeat("<\x01;=\xbc|", 11)[:64]),
+	}
+	doc := xmlgen.XMarkBytes(xmlgen.Config{TargetSize: 8 << 10, Seed: 4})
+	for off := 0; off+64 <= len(doc); off += 37 {
+		blocks = append(blocks, doc[off:off+64])
+	}
+	for _, b := range blocks {
+		var want uint64
+		for k := 0; k < 64; k++ {
+			if b[k] == '<' {
+				want |= 1 << k
+			}
+		}
+		if got := AnchorMask(b); got != want {
+			t.Fatalf("AnchorMask(%q) = %#x, want %#x", b, got, want)
+		}
+	}
+}

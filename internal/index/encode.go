@@ -135,7 +135,7 @@ func validKeyword(kw string) bool {
 		return false
 	}
 	for i := 0; i < len(name); i++ {
-		if nameStop(name[i]) {
+		if nameStop[name[i]] {
 			return false
 		}
 	}

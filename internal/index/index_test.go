@@ -95,6 +95,19 @@ func TestBindDetectsStaleness(t *testing.T) {
 	if dec.Bound() {
 		t.Fatal("failed Bind left the index bound")
 	}
+	if _, err := dec.BoundTo(mutated); !errors.Is(err, index.ErrStale) {
+		t.Fatalf("BoundTo(mutated) = %v, want ErrStale", err)
+	}
+	bound, err := dec.BoundTo(doc)
+	if err != nil {
+		t.Fatalf("BoundTo(original) = %v", err)
+	}
+	if dec.Bound() || !bound.Bound() || !bytes.Equal(bound.Doc(), doc) {
+		t.Fatal("BoundTo must bind a copy and leave the index unbound")
+	}
+	if !reflect.DeepEqual(bound.Candidates(), dec.Candidates()) || bound.Fingerprint() != dec.Fingerprint() {
+		t.Fatal("BoundTo copy differs from the index")
+	}
 	if err := dec.Bind(doc); err != nil {
 		t.Fatalf("Bind(original) = %v", err)
 	}

@@ -1,5 +1,12 @@
 package index
 
+import (
+	"encoding/binary"
+	"math/bits"
+
+	"smp/internal/core"
+)
+
 // Summary is the per-document vocabulary summary stored in a sidecar header:
 // a 256-bit bitmap over the first byte of every tag name occurring in the
 // document, plus a small Bloom filter over the full names. It answers "may
@@ -51,6 +58,16 @@ func (s *Summary) add(name []byte) {
 	}
 }
 
+// merge ORs the names recorded in o into s.
+func (s *Summary) merge(o *Summary) {
+	for i := range s.firstLetter {
+		s.firstLetter[i] |= o.firstLetter[i]
+	}
+	for i := range s.bloom {
+		s.bloom[i] |= o.bloom[i]
+	}
+}
+
 // MayContain reports whether a tag name may occur in the document. False
 // means definitely absent; true may be a Bloom false positive.
 func (s *Summary) MayContain(name string) bool {
@@ -70,43 +87,106 @@ func (s *Summary) MayContain(name string) bool {
 	return true
 }
 
-// nameStop reports whether c ends a tag name in the summary sweep. The set
-// is a superset of the scan's tag terminators (whitespace, '>', '/') plus
+// nameStop marks the bytes that end a tag name in the summary sweep. The
+// set is a superset of the scan's tag terminators (whitespace, '>', '/') plus
 // '<' and quotes; no DTD element name contains any of these bytes, so for
 // every position where a keyword verifies, the sweep extracts exactly the
 // keyword's tag name — which is what makes the summary sound (no false
 // negatives).
-func nameStop(c byte) bool {
-	switch c {
-	case ' ', '\t', '\r', '\n', '>', '/', '<', '"', '\'':
-		return true
+var nameStop [256]bool
+
+func init() {
+	for _, c := range []byte{' ', '\t', '\r', '\n', '>', '/', '<', '"', '\''} {
+		nameStop[c] = true
 	}
-	return false
 }
 
-// buildSummary sweeps every '<' anchor of the document and records the tag
-// name that follows (skipping the '/' of closing tags). Anchors inside text
-// or quoted attribute values contribute harmless false positives — exactly
-// like the position-exhaustive candidate scan, the sweep over-approximates
-// and never misses a real tag.
-func buildSummary(doc []byte) Summary {
-	var s Summary
-	for i := 0; i < len(doc); i++ {
-		if doc[i] != '<' {
-			continue
+// sweep records the tag name after every '<' anchor at positions [lo, hi)
+// of doc, skipping the '/' of closing tags. Names may run past hi: a name
+// holds no '<', so it never contains a later anchor, and the summary of a
+// document is the OR of the sweeps of any partition of its anchors. Anchors
+// inside text or quoted attribute values contribute harmless false
+// positives — exactly like the position-exhaustive candidate scan, the
+// sweep over-approximates and never misses a real tag.
+//
+// Anchors are found 64 bytes at a time with the scan kernel's anchor mask.
+// A name equal to one of the two names last added under its first two
+// bytes is not hashed again: adding a name is idempotent, so skipping the
+// repeat leaves the summary bit-identical, and most tags repeat a recent
+// name. The repeat check needs neither the name's extent nor its hash —
+// one masked word compare (a byte compare for names over eight bytes) and
+// one stop-table load for the byte after the remembered name.
+func (s *Summary) sweep(doc []byte, lo, hi int) {
+	var recent [256][2]recentName
+	w := lo
+	for ; w+64 <= hi; w += 64 {
+		for m := core.AnchorMask(doc[w:]); m != 0; m &= m - 1 {
+			s.anchor(doc, w+bits.TrailingZeros64(m), &recent)
 		}
-		j := i + 1
-		if j < len(doc) && doc[j] == '/' {
-			j++
-		}
-		start := j
-		for j < len(doc) && !nameStop(doc[j]) {
-			j++
-		}
-		if j > start {
-			s.add(doc[start:j])
-		}
-		i = start - 1 // resume after the anchor (names may contain no '<')
 	}
-	return s
+	for ; w < hi; w++ {
+		if doc[w] == '<' {
+			s.anchor(doc, w, &recent)
+		}
+	}
+}
+
+// recentName is a name the sweep added, kept for the repeat check.
+type recentName struct {
+	name []byte
+	// word is the name's bytes as a little-endian word under mask; mask is
+	// zero for names longer than eight bytes.
+	word, mask uint64
+}
+
+// repeats reports whether the tag name at doc[i:] is r.name.
+func (r *recentName) repeats(doc []byte, i int) bool {
+	end := i + len(r.name)
+	if len(r.name) == 0 || end >= len(doc) || !nameStop[doc[end]] {
+		return false
+	}
+	if r.mask != 0 && i+8 <= len(doc) {
+		return binary.LittleEndian.Uint64(doc[i:])&r.mask == r.word
+	}
+	return string(doc[i:end]) == string(r.name)
+}
+
+// anchor records the tag name following the '<' at doc[p].
+func (s *Summary) anchor(doc []byte, p int, recent *[256][2]recentName) {
+	i := p + 1
+	if i < len(doc) && doc[i] == '/' {
+		i++
+	}
+	if i+1 >= len(doc) {
+		// No room for the two-byte key: at most a one-byte name is left.
+		if i < len(doc) && !nameStop[doc[i]] {
+			s.add(doc[i:])
+		}
+		return
+	}
+	if nameStop[doc[i]] {
+		return
+	}
+	set := &recent[doc[i]+7*doc[i+1]]
+	if set[0].repeats(doc, i) {
+		return
+	}
+	if set[1].repeats(doc, i) {
+		set[0], set[1] = set[1], set[0]
+		return
+	}
+	j := i + 1
+	for j < len(doc) && !nameStop[doc[j]] {
+		j++
+	}
+	name := doc[i:j]
+	r := recentName{name: name}
+	if len(name) <= 8 {
+		for k := len(name) - 1; k >= 0; k-- {
+			r.word = r.word<<8 | uint64(name[k])
+		}
+		r.mask = ^uint64(0) >> (64 - 8*len(name))
+	}
+	set[1], set[0] = set[0], r
+	s.add(name)
 }
