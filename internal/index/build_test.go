@@ -65,14 +65,13 @@ func oracleSummary(doc []byte) Summary {
 
 // unionScanPlan is the scan plan of the union of every query of a dataset:
 // K=18 for XMark, K=5 for MEDLINE.
-func unionScanPlan(tb testing.TB, dtdSrc string, qs []xmlgen.Query) *core.ScanPlan {
-	tb.Helper()
+func unionScanPlan(dtdSrc string, qs []xmlgen.Query) *core.ScanPlan {
 	schema := dtd.MustParse(dtdSrc)
 	var plans []*core.Plan
 	for _, q := range qs {
 		table, err := compile.Compile(schema, paths.MustParseSet(q.Paths), compile.Options{})
 		if err != nil {
-			tb.Fatalf("compile %s: %v", q.ID, err)
+			panic(fmt.Sprintf("compile %s: %v", q.ID, err))
 		}
 		plans = append(plans, core.NewPlan(table, core.Options{}))
 	}
@@ -80,40 +79,27 @@ func unionScanPlan(tb testing.TB, dtdSrc string, qs []xmlgen.Query) *core.ScanPl
 }
 
 var (
-	xmarkSP   = sync.OnceValue(func() *core.ScanPlan { return unionScanPlan(panicTB{}, xmlgen.XMarkDTD(), xmlgen.XMarkQueries()) })
-	medlineSP = sync.OnceValue(func() *core.ScanPlan { return unionScanPlan(panicTB{}, xmlgen.MedlineDTD(), xmlgen.MedlineQueries()) })
+	xmarkSP   = sync.OnceValue(func() *core.ScanPlan { return unionScanPlan(xmlgen.XMarkDTD(), xmlgen.XMarkQueries()) })
+	medlineSP = sync.OnceValue(func() *core.ScanPlan { return unionScanPlan(xmlgen.MedlineDTD(), xmlgen.MedlineQueries()) })
 )
 
-// panicTB lets the shared fixtures compile outside any one test.
-type panicTB struct{ testing.TB }
-
-func (panicTB) Helper()                           {}
-func (panicTB) Fatalf(format string, args ...any) { panic(fmt.Sprintf(format, args...)) }
-
-// checkBuild requires build(doc, sp, pieces) to encode to the oracle's bytes
-// and to carry the oracle's summary and candidates.
+// checkBuild requires build(doc, sp, pieces) to encode to the oracle's
+// bytes — summary and candidates included — and to be bound to doc.
 func checkBuild(t *testing.T, doc []byte, sp *core.ScanPlan, pieces int) {
 	t.Helper()
 	want := oracleBuild(doc, sp)
 	got := build(doc, sp, pieces)
+	if got.summary != want.summary {
+		t.Fatalf("pieces=%d: summary differs from the byte-at-a-time sweep", pieces)
+	}
 	wantEnc, wantErr := want.Encode()
 	gotEnc, gotErr := got.Encode()
 	if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
 		t.Fatalf("pieces=%d: Encode error %v, want %v", pieces, gotErr, wantErr)
 	}
 	if !bytes.Equal(gotEnc, wantEnc) {
-		t.Fatalf("pieces=%d: sidecar bytes differ from the sequential build (%d vs %d bytes)", pieces, len(gotEnc), len(wantEnc))
-	}
-	if got.summary != want.summary {
-		t.Fatalf("pieces=%d: summary differs from the byte-at-a-time sweep", pieces)
-	}
-	if len(got.cands) != len(want.cands) {
-		t.Fatalf("pieces=%d: %d candidates, want %d", pieces, len(got.cands), len(want.cands))
-	}
-	for i := range want.cands {
-		if got.cands[i] != want.cands[i] {
-			t.Fatalf("pieces=%d: candidate %d = %+v, want %+v", pieces, i, got.cands[i], want.cands[i])
-		}
+		t.Fatalf("pieces=%d: sidecar bytes differ from the sequential build (%d vs %d bytes, %d vs %d candidates)",
+			pieces, len(gotEnc), len(wantEnc), len(got.cands), len(want.cands))
 	}
 	if !bytes.Equal(got.doc, doc) {
 		t.Fatalf("pieces=%d: index not bound to the document", pieces)
@@ -186,10 +172,9 @@ func TestBuildEdgeDocuments(t *testing.T) {
 	}
 }
 
-// TestBuildUsesParallelPath pins the size floor: a document at the floor
-// takes the multi-piece path whenever GOMAXPROCS allows, and both sides of
-// the floor still produce the sequential bytes.
-func TestBuildUsesParallelPath(t *testing.T) {
+// TestBuildAroundParallelFloor runs the exported Build on both sides of the
+// size floor, where it switches from one piece to several.
+func TestBuildAroundParallelFloor(t *testing.T) {
 	doc := xmlgen.XMarkBytes(xmlgen.Config{TargetSize: 4 * parallelFloor, Seed: 9})
 	for _, n := range []int{parallelFloor - 1, parallelFloor, len(doc)} {
 		d := doc[:n]

@@ -5,7 +5,6 @@ import (
 	"crypto/sha256"
 	"errors"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -98,15 +97,6 @@ func build(doc []byte, sp *core.ScanPlan, pieces int) *Index {
 	}
 	cuts := cutPieces(doc, pieces)
 	n := len(cuts) - 1
-	if n == 1 {
-		buf := getScratch()
-		*buf = sp.NewScanner().Scan((*buf)[:0], doc, 0, len(doc), true)
-		ix.cands = slices.Clone(*buf)
-		putScratch(buf)
-		ix.docHash = sha256.Sum256(doc)
-		ix.summary.sweep(doc, 0, len(doc))
-		return ix
-	}
 	workers := min(n, runtime.GOMAXPROCS(0))
 	bufs := make([]*[]core.Candidate, workers)
 	spans := make([]pieceSpan, n)
@@ -127,16 +117,20 @@ func build(doc []byte, sp *core.ScanPlan, pieces int) *Index {
 		bufs[w] = buf
 	}
 	var wg sync.WaitGroup
-	wg.Add(workers)
-	go func() {
-		defer wg.Done()
+	if n == 1 {
 		ix.docHash = sha256.Sum256(doc)
-	}()
-	for w := 1; w < workers; w++ {
-		go func(w int) {
+	} else {
+		wg.Add(workers)
+		go func() {
 			defer wg.Done()
-			work(w)
-		}(w)
+			ix.docHash = sha256.Sum256(doc)
+		}()
+		for w := 1; w < workers; w++ {
+			go func(w int) {
+				defer wg.Done()
+				work(w)
+			}(w)
+		}
 	}
 	work(0)
 	wg.Wait()
