@@ -37,7 +37,10 @@ func DecodeIndex(data []byte) (*Index, error) { return index.Decode(data) }
 
 // BuildIndex scans doc once with the prefilter's vocabulary and returns its
 // candidate index, already bound to doc. The index serves this prefilter and
-// any other whose vocabulary is a subset (Covers).
+// any other whose vocabulary is a subset (Covers). Documents of 32 KiB and
+// more are built on up to GOMAXPROCS goroutines, all finished when
+// BuildIndex returns; the index, and the sidecar WriteFile writes from it,
+// is byte-identical to a single-goroutine build.
 func (p *Prefilter) BuildIndex(doc []byte) *Index {
 	return index.Build(doc, p.eng.ScanPlan())
 }
@@ -58,7 +61,9 @@ func (p *Prefilter) IndexCovers(ix *Index) bool {
 // BuildIndex scans doc once with the merged union vocabulary and returns its
 // candidate index, already bound to doc: one sidecar then serves all K
 // queries, together or standalone (each query's vocabulary is a subset of
-// the union).
+// the union). Like Prefilter.BuildIndex it uses up to GOMAXPROCS goroutines
+// on documents of 32 KiB and more and writes the same bytes as a
+// single-goroutine build.
 func (m *MultiPrefilter) BuildIndex(doc []byte) *Index {
 	return index.Build(doc, m.multi.ScanPlan())
 }

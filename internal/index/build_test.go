@@ -250,12 +250,11 @@ func FuzzIndexBuild(f *testing.F) {
 			checkBuild(t, doc, sp, 1+int(pieces)%8)
 		}
 		at := int(split) % (len(doc) + 1)
-		var s Summary
-		s.sweep(doc, 0, at)
-		var tail Summary
+		var head, tail sweeper
+		head.sweep(doc, 0, at)
 		tail.sweep(doc, at, len(doc))
-		s.merge(&tail)
-		if s != oracleSummary(doc) {
+		head.sum.merge(&tail.sum)
+		if head.sum != oracleSummary(doc) {
 			t.Fatalf("summary swept in two parts at %d differs from the byte-at-a-time sweep", at)
 		}
 	})
@@ -285,8 +284,8 @@ func BenchmarkBuild(b *testing.B) {
 		b.Run(ds.name+"/summary", func(b *testing.B) {
 			b.SetBytes(int64(len(ds.doc)))
 			for i := 0; i < b.N; i++ {
-				var s Summary
-				s.sweep(ds.doc, 0, len(ds.doc))
+				var sw sweeper
+				sw.sweep(ds.doc, 0, len(ds.doc))
 			}
 		})
 		b.Run(ds.name+"/scan", func(b *testing.B) {

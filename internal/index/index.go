@@ -100,7 +100,7 @@ func build(doc []byte, sp *core.ScanPlan, pieces int) *Index {
 	workers := min(n, runtime.GOMAXPROCS(0))
 	bufs := make([]*[]core.Candidate, workers)
 	spans := make([]pieceSpan, n)
-	sums := make([]Summary, workers)
+	sweepers := make([]sweeper, workers)
 	var next atomic.Int64
 	work := func(w int) {
 		sc := sp.NewScanner()
@@ -111,7 +111,7 @@ func build(doc []byte, sp *core.ScanPlan, pieces int) *Index {
 			start := len(cands)
 			cands = sc.Scan(cands, doc[lo:], int64(lo), hi-lo, true)
 			spans[k] = pieceSpan{w, start, len(cands)}
-			sums[w].sweep(doc, lo, hi)
+			sweepers[w].sweep(doc, lo, hi)
 		}
 		*buf = cands
 		bufs[w] = buf
@@ -142,8 +142,8 @@ func build(doc []byte, sp *core.ScanPlan, pieces int) *Index {
 	for _, ps := range spans {
 		ix.cands = append(ix.cands, (*bufs[ps.w])[ps.lo:ps.hi]...)
 	}
-	for w := range sums {
-		ix.summary.merge(&sums[w])
+	for w := range sweepers {
+		ix.summary.merge(&sweepers[w].sum)
 		putScratch(bufs[w])
 	}
 	return ix

@@ -101,6 +101,14 @@ func init() {
 	}
 }
 
+// sweeper accumulates the summary of the anchors it is shown, one range at
+// a time. It remembers, across ranges, the two names it last added under
+// each first-two-bytes key.
+type sweeper struct {
+	sum    Summary
+	recent [256][2]recentName
+}
+
 // sweep records the tag name after every '<' anchor at positions [lo, hi)
 // of doc, skipping the '/' of closing tags. Names may run past hi: a name
 // holds no '<', so it never contains a later anchor, and the summary of a
@@ -116,17 +124,16 @@ func init() {
 // name. The repeat check needs neither the name's extent nor its hash —
 // one masked word compare (a byte compare for names over eight bytes) and
 // one stop-table load for the byte after the remembered name.
-func (s *Summary) sweep(doc []byte, lo, hi int) {
-	var recent [256][2]recentName
+func (sw *sweeper) sweep(doc []byte, lo, hi int) {
 	w := lo
 	for ; w+64 <= hi; w += 64 {
 		for m := core.AnchorMask(doc[w:]); m != 0; m &= m - 1 {
-			s.anchor(doc, w+bits.TrailingZeros64(m), &recent)
+			sw.anchor(doc, w+bits.TrailingZeros64(m))
 		}
 	}
 	for ; w < hi; w++ {
 		if doc[w] == '<' {
-			s.anchor(doc, w, &recent)
+			sw.anchor(doc, w)
 		}
 	}
 }
@@ -152,7 +159,7 @@ func (r *recentName) repeats(doc []byte, i int) bool {
 }
 
 // anchor records the tag name following the '<' at doc[p].
-func (s *Summary) anchor(doc []byte, p int, recent *[256][2]recentName) {
+func (sw *sweeper) anchor(doc []byte, p int) {
 	i := p + 1
 	if i < len(doc) && doc[i] == '/' {
 		i++
@@ -160,14 +167,14 @@ func (s *Summary) anchor(doc []byte, p int, recent *[256][2]recentName) {
 	if i+1 >= len(doc) {
 		// No room for the two-byte key: at most a one-byte name is left.
 		if i < len(doc) && !nameStop[doc[i]] {
-			s.add(doc[i:])
+			sw.sum.add(doc[i:])
 		}
 		return
 	}
 	if nameStop[doc[i]] {
 		return
 	}
-	set := &recent[doc[i]+7*doc[i+1]]
+	set := &sw.recent[doc[i]+7*doc[i+1]]
 	if set[0].repeats(doc, i) {
 		return
 	}
@@ -188,5 +195,5 @@ func (s *Summary) anchor(doc []byte, p int, recent *[256][2]recentName) {
 		r.mask = ^uint64(0) >> (64 - 8*len(name))
 	}
 	set[1], set[0] = set[0], r
-	s.add(name)
+	sw.sum.add(name)
 }
