@@ -300,13 +300,17 @@ func BenchmarkBuild(b *testing.B) {
 				sha256.Sum256(ds.doc)
 			}
 		})
-		for _, pieces := range []int{1, runtime.GOMAXPROCS(0)} {
-			b.Run(fmt.Sprintf("%s/pieces=%d", ds.name, pieces), func(b *testing.B) {
-				b.SetBytes(int64(len(ds.doc)))
-				for i := 0; i < b.N; i++ {
-					build(ds.doc, ds.sp, pieces)
-				}
-			})
-		}
+		b.Run(ds.name+"/pieces=1", func(b *testing.B) {
+			b.SetBytes(int64(len(ds.doc)))
+			for i := 0; i < b.N; i++ {
+				build(ds.doc, ds.sp, 1)
+			}
+		})
+		b.Run(ds.name+"/Build", func(b *testing.B) {
+			b.SetBytes(int64(len(ds.doc)))
+			for i := 0; i < b.N; i++ {
+				Build(ds.doc, ds.sp)
+			}
+		})
 	}
 }
