@@ -184,9 +184,6 @@ func TestBuildAroundParallelFloor(t *testing.T) {
 			t.Fatalf("Build of %d bytes differs from the sequential build", n)
 		}
 	}
-	if pieces := len(cutPieces(doc, 4)) - 1; pieces != 4 {
-		t.Fatalf("cutPieces(%d bytes, 4) made %d pieces", len(doc), pieces)
-	}
 }
 
 func TestCutPieces(t *testing.T) {

@@ -104,7 +104,7 @@ func build(doc []byte, sp *core.ScanPlan, pieces int) *Index {
 	var next atomic.Int64
 	work := func(w int) {
 		sc := sp.NewScanner()
-		buf := getScratch()
+		buf := scratchPool.Get().(*[]core.Candidate)
 		cands := (*buf)[:0]
 		for k := int(next.Add(1) - 1); k < n; k = int(next.Add(1) - 1) {
 			lo, hi := cuts[k], cuts[k+1]
@@ -144,7 +144,9 @@ func build(doc []byte, sp *core.ScanPlan, pieces int) *Index {
 	}
 	for w := range sweepers {
 		ix.summary.merge(&sweepers[w].sum)
-		putScratch(bufs[w])
+		if cap(*bufs[w]) <= maxPooledCandidates {
+			scratchPool.Put(bufs[w])
+		}
 	}
 	return ix
 }
@@ -161,14 +163,6 @@ var scratchPool = sync.Pool{New: func() any { return new([]core.Candidate) }}
 // maxPooledCandidates bounds the buffers scratchPool keeps (32 MiB of
 // candidates), so one huge document does not pin its scratch.
 const maxPooledCandidates = 1 << 20
-
-func getScratch() *[]core.Candidate { return scratchPool.Get().(*[]core.Candidate) }
-
-func putScratch(buf *[]core.Candidate) {
-	if cap(*buf) <= maxPooledCandidates {
-		scratchPool.Put(buf)
-	}
-}
 
 // cutPieces cuts doc into at most pieces non-empty byte ranges, each but
 // the first starting at a '<' anchor, and returns the range boundaries
