@@ -83,10 +83,13 @@ type Batch struct {
 	Multi *MultiPrefilter
 	// Workers is the pool size; values < 1 select runtime.GOMAXPROCS(0).
 	Workers int
-	// IntraWorkers, if > 1, additionally fans each job's document scan out
-	// across that many segment-scan workers (Project's WithWorkers axis), so
-	// a batch can combine inter-document and intra-document parallelism.
-	// Documents smaller than the parallel threshold keep the serial scan.
+	// IntraWorkers, if > 1, additionally runs each job on a pool of that
+	// many workers sharing its document's segment scans and query replays
+	// (Project's WithWorkers axis), so a batch can combine inter-document
+	// and intra-document parallelism. A multi-query job's destinations may
+	// then be written from different goroutines at once; one writer is
+	// never written concurrently. Documents smaller than the parallel
+	// threshold keep the serial scan.
 	IntraWorkers int
 	// ChunkSize overrides the chunk size of every job in the batch; 0 keeps
 	// the prefilter's compiled value.

@@ -303,6 +303,11 @@ type benchPoint struct {
 	// when git could not tell), so a point measured on an edited tree is
 	// not mistaken for Rev's own.
 	Dirty *bool `json:"dirty,omitempty"`
+	// Stash names the dirty tree's content as a `git stash create` commit
+	// (absent on a clean tree, or when git could not make one): the exact
+	// source a point measured, recoverable with `git show` while the object
+	// exists.
+	Stash string `json:"stash,omitempty"`
 	// CPU, GOMAXPROCS and Go name the machine and toolchain the point ran
 	// on. Points written before these fields existed leave them empty.
 	CPU        string        `json:"cpu,omitempty"`
@@ -341,11 +346,17 @@ func (l *benchLog) write(path string) error {
 	if err != nil {
 		trajectory = nil
 	}
+	dirty := gitDirty()
+	var stash string
+	if dirty != nil && *dirty {
+		stash = gitStash("")
+	}
 	trajectory = append(trajectory, benchPoint{
 		Rev:        gitRev(),
 		Date:       time.Now().UTC().Format("2006-01-02"),
 		Note:       l.note,
-		Dirty:      gitDirty(),
+		Dirty:      dirty,
+		Stash:      stash,
 		CPU:        cpuModel(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		Go:         runtime.Version(),
@@ -395,6 +406,24 @@ func gitDirty() *bool {
 	}
 	dirty := len(bytes.TrimSpace(out)) > 0
 	return &dirty
+}
+
+// gitStash records the working tree's tracked changes as a dangling stash
+// commit and returns its hash, leaving the tree, the index and the stash
+// list untouched; "" when git cannot make one. The commit is made under a
+// fixed identity, so a checkout without user.name/user.email (a CI runner)
+// still records one. dir "" is the current directory.
+func gitStash(dir string) string {
+	cmd := exec.Command("git", "stash", "create")
+	cmd.Dir = dir
+	cmd.Env = append(os.Environ(),
+		"GIT_AUTHOR_NAME=smpbench", "GIT_AUTHOR_EMAIL=smpbench@localhost",
+		"GIT_COMMITTER_NAME=smpbench", "GIT_COMMITTER_EMAIL=smpbench@localhost")
+	out, err := cmd.Output()
+	if err != nil {
+		return ""
+	}
+	return strings.TrimSpace(string(out))
 }
 
 // cpuModel names the processor from /proc/cpuinfo, falling back to the

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"runtime"
 	"strings"
@@ -403,26 +404,85 @@ func TestTrajectoryProvenanceFields(t *testing.T) {
 	if err != nil {
 		t.Fatalf("legacy point: %v", err)
 	}
-	if p := traj[0]; p.Dirty != nil || p.CPU != "" || p.GOMAXPROCS != 0 || p.Go != "" {
+	if p := traj[0]; p.Dirty != nil || p.Stash != "" || p.CPU != "" || p.GOMAXPROCS != 0 || p.Go != "" {
 		t.Fatalf("legacy point gained provenance: %+v", p)
 	}
 	data, err := json.Marshal(traj[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{"dirty", "cpu", "gomaxprocs", `"go"`} {
+	for _, key := range []string{"dirty", "stash", "cpu", "gomaxprocs", `"go"`} {
 		if strings.Contains(string(data), key) {
 			t.Errorf("legacy point re-encodes with %s: %s", key, data)
 		}
 	}
 
-	clean := false
-	writeTrajectory(t, path, []benchPoint{{Rev: "bbb", Dirty: &clean, CPU: "cpu", GOMAXPROCS: 3, Go: "go1.x"}})
+	clean, dirty := false, true
+	writeTrajectory(t, path, []benchPoint{
+		{Rev: "bbb", Dirty: &clean, CPU: "cpu", GOMAXPROCS: 3, Go: "go1.x"},
+		{Rev: "ccc", Dirty: &dirty, Stash: "0123abcd"},
+	})
 	traj, err = readTrajectory(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p := traj[0]; p.Dirty == nil || *p.Dirty || p.CPU != "cpu" || p.GOMAXPROCS != 3 || p.Go != "go1.x" {
+	if p := traj[0]; p.Dirty == nil || *p.Dirty || p.Stash != "" || p.CPU != "cpu" || p.GOMAXPROCS != 3 || p.Go != "go1.x" {
 		t.Fatalf("provenance did not round-trip: %+v", p)
+	}
+	if p := traj[1]; p.Dirty == nil || !*p.Dirty || p.Stash != "0123abcd" {
+		t.Fatalf("dirty point's stash did not round-trip: %+v", p)
+	}
+	data, err = os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(string(data), `"stash"`); n != 1 {
+		t.Errorf("trajectory encodes %d stash fields, want 1 (the clean point omits it): %s", n, data)
+	}
+}
+
+// TestGitStashNamesDirtyTree checks gitStash against a scratch repository:
+// a clean tree yields no hash, a dirty one a commit whose tree holds the
+// edit, and neither touches the working tree or the stash list.
+func TestGitStashNamesDirtyTree(t *testing.T) {
+	if _, err := exec.LookPath("git"); err != nil {
+		t.Skip("git not installed")
+	}
+	dir := t.TempDir()
+	git := func(args ...string) string {
+		t.Helper()
+		cmd := exec.Command("git", args...)
+		cmd.Dir = dir
+		out, err := cmd.CombinedOutput()
+		if err != nil {
+			t.Fatalf("git %v: %v\n%s", args, err, out)
+		}
+		return strings.TrimSpace(string(out))
+	}
+	git("init", "-q")
+	file := filepath.Join(dir, "f.txt")
+	if err := os.WriteFile(file, []byte("one\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	git("add", "f.txt")
+	git("-c", "user.name=t", "-c", "user.email=t@localhost", "commit", "-q", "-m", "init")
+	if h := gitStash(dir); h != "" {
+		t.Fatalf("clean tree: gitStash = %q, want empty", h)
+	}
+	if err := os.WriteFile(file, []byte("two\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	h := gitStash(dir)
+	if h == "" {
+		t.Fatal("dirty tree: gitStash returned no hash")
+	}
+	if got := git("show", h+":f.txt"); got != "two" {
+		t.Errorf("stash commit holds %q, want the edited content", got)
+	}
+	if data, _ := os.ReadFile(file); string(data) != "two\n" {
+		t.Errorf("working tree changed to %q", data)
+	}
+	if list := git("stash", "list"); list != "" {
+		t.Errorf("stash list gained entries: %q", list)
 	}
 }

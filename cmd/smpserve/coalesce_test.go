@@ -304,8 +304,11 @@ func TestCoalescerSoak(t *testing.T) {
 					req, _ := http.NewRequestWithContext(ctx, http.MethodPost,
 						projectURL(ts, spec, ""), strings.NewReader(doc))
 					req.Header.Set("X-SMP-DTD", url.PathEscape(auctionDTD))
+					// The delay is drawn here: rng is not safe for the
+					// goroutine to share with this loop.
+					delay := time.Duration(rng.Intn(3)) * time.Millisecond
 					go func() {
-						time.Sleep(time.Duration(rng.Intn(3)) * time.Millisecond)
+						time.Sleep(delay)
 						cancel()
 					}()
 					resp, err := ts.Client().Do(req)

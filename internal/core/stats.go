@@ -71,13 +71,15 @@ type Stats struct {
 	// prefiltering). Always <= IndexHits.
 	IndexSummarySkips int64
 	// ScanDuration, ReplayDuration and StitchDuration split a staged
-	// (internal/pipeline) run's wall time into its stages: segment scanning
-	// (in parallel mode: time the driver spent waiting on scan workers),
-	// candidate replay through the runtime automaton, and stitching the
-	// projected output to the writers. ScanDuration is always measured on
-	// staged runs; StitchDuration is only measured when a trace is attached
-	// (per-write clock reads are not free), and ReplayDuration is the
-	// remainder — so without a trace it also absorbs the stitch time. The
+	// (internal/pipeline) run into its stages: segment scanning, candidate
+	// replay through the runtime automaton, and stitching the projected
+	// output to the writers. For a serial run they split its wall time; for
+	// a run on a worker pool (WithWorkers > 1) they are task time summed
+	// across the workers, so together they can exceed the wall time.
+	// ScanDuration and ReplayDuration are always measured on staged runs;
+	// StitchDuration is only measured when a trace is attached (per-write
+	// clock reads are not free), and ReplayDuration excludes it — so
+	// without a trace ReplayDuration also absorbs the stitch time. The
 	// window engine has no stages and leaves all three zero.
 	ScanDuration   time.Duration
 	ReplayDuration time.Duration

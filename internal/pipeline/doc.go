@@ -1,10 +1,10 @@
 // Package pipeline is the one production execution engine: every
 // projection run — one query or K, serial or W workers, scanned or replayed
 // from a persisted index — is K merged queries replaying one shared
-// candidate stream produced by a segment source that scans the document
-// with W workers (W <= 1 selects an in-line sequential scan; a single query
-// is K=1). The paper's skip-based window engine (internal/core) stays as
-// the reference this package is tested against, not as a second path.
+// candidate stream cut from the document in segments (a single query is
+// K=1; W > 1 runs share the scans and the K replays on one worker pool).
+// The paper's skip-based window engine (internal/core) stays as the
+// reference this package is tested against, not as a second path.
 //
 // The package merges what used to be two separate exploitations of the
 // paper's reduction (projection → anchored keyword search replayed through
@@ -12,17 +12,20 @@
 //
 //   - intra-document parallelism (formerly internal/split): the input is
 //     cut into segments backed off at '<' boundaries, W workers scan the
-//     segments speculatively against the union vocabulary, and a
-//     sequential replay stitches the projection in input order;
+//     segments speculatively against the union vocabulary, and each query's
+//     replay stitches its projection in input order;
 //   - multi-query sharing (formerly internal/multiquery): one scan over
 //     the union vocabulary of K plans serves K per-query replays, each
 //     with private cursor, copy-region and writer state.
 //
 // Both were replays of the same candidate-stream seam (core.ScanPlan /
 // core.SegmentScanner), so they compose here instead of multiplying code
-// paths: a segment source — serial or W parallel segment scanners —
-// produces an in-order stream of scanned segments, and K query replays
-// consume it, retiring segments once every live query has passed them.
+// paths: the input becomes an in-order chain of scanned segments, and K
+// query replays consume it, retiring segments once every live query has
+// passed them. A pool run scans within a fixed lookahead of its slowest
+// live query, so memory stays bounded by the segment size, and writes
+// different queries' destinations from different goroutines (never one
+// destination concurrently).
 //
 // Invariants that make every cell of the K×W grid byte-identical to a
 // standalone serial core run of each query:
@@ -38,10 +41,10 @@
 //     keyword ID] transition table, which is -1 outside q's vocabulary.
 //     Other queries' keywords (and speculative occurrences the serial
 //     search would have skipped) are invisible to it.
-//   - An open copy region is flushed up to each retired segment boundary;
-//     the serial engine flushes at window boundaries instead, but both
-//     emit the region's bytes contiguously and never beyond the next
-//     match, so the concatenated output is identical.
+//   - An open copy region is flushed up to the end of every segment the
+//     query finishes; the serial engine flushes at window boundaries
+//     instead, but both emit the region's bytes contiguously and never
+//     beyond the next match, so the concatenated output is identical.
 //
 // A compiled Engine is immutable and safe for concurrent use; every
 // Project call allocates its own run state.

@@ -1,7 +1,9 @@
 package pipeline
 
 import (
+	"errors"
 	"io"
+	"math"
 	"time"
 
 	"smp/internal/compile"
@@ -42,6 +44,10 @@ type qrun struct {
 	// seg is the index (sequence number) of the segment whose candidates the
 	// query consumes next, cand the position within its candidate list.
 	seg, cand int
+	// chaseAt (0: none) and chase resume the tag-end scan of candidate cand
+	// after it yielded, so a long tag is fed once however often it yields.
+	chaseAt int64
+	chase   core.TagScan
 
 	stats    core.Stats
 	writeErr error
@@ -70,10 +76,10 @@ func (k *qrun) enter(q int) {
 	}
 }
 
-// driver owns one run: the shared segment source, the chain of live
-// segments, and the K query replays. The replay side is sequential — one
-// goroutine, no synchronization; with a parallel source the concurrency
-// lives entirely behind the source's in-order segment stream.
+// driver owns the chain of live segments and steps the K query replays over
+// it. A serial run (W <= 1) is one driver pulling segments from its source
+// in rounds (run); in a pool run (W > 1, pool.go) each worker steps queries
+// on its own driver over a snapshot of the pool's segments, with no source.
 type driver struct {
 	// tokens and closeOf are the engine's union keyword tables: a
 	// candidate's token, and the closing keyword of a bachelor tag.
@@ -85,30 +91,32 @@ type driver struct {
 	firstSeq int
 	queries  []*qrun
 
+	// exhausted reports that a snapshot (src == nil) ends with the input's
+	// last segment, terminal the input's error if so.
+	exhausted bool
+	terminal  error
+
 	held    int // bytes across live segments (the run's memory)
 	maxHeld int
 
-	// Stage timing. scanDur (time spent pulling segments from the source —
-	// with a parallel source, time blocked waiting on scan workers) is
-	// always measured: two clock reads per segment round, noise against the
-	// per-segment scan itself. stitchDur (time inside output writes) is
+	// Stage timing. scanDur (time spent pulling segments from the source)
+	// is always measured: two clock reads per segment round, noise against
+	// the per-segment scan itself. stitchDur (time inside output writes) is
 	// only measured when a trace is attached — a clock read per Write would
 	// tax candidate-dense replays — so untraced runs fold stitching into
-	// the replay remainder. elapsed is run()'s wall time; the replay share
-	// is derived as elapsed - scanDur - stitchDur in result().
+	// the replay remainder, which run derives from its wall time.
 	trace     *obs.Trace
 	scanDur   time.Duration
 	stitchDur time.Duration
-	elapsed   time.Duration
 }
+
+// errPending reports that a step needs input past a pool worker's snapshot:
+// the query yields until the pool has cut further. It never leaves the
+// package.
+var errPending = errors.New("pipeline: input past the read frontier")
 
 func newDriver(e *Engine, dsts []io.Writer, src source, trace *obs.Trace) *driver {
 	d := &driver{tokens: e.scan.Tokens(), closeOf: e.closeOf, src: src, trace: trace}
-	if trace != nil {
-		trace.NameThread(traceTIDScan, "scan")
-		trace.NameThread(traceTIDReplay, "replay")
-		trace.NameThread(traceTIDStitch, "stitch")
-	}
 	d.queries = make([]*qrun, len(e.plans))
 	for i, plan := range e.plans {
 		out := dsts[i]
@@ -116,12 +124,12 @@ func newDriver(e *Engine, dsts []io.Writer, src source, trace *obs.Trace) *drive
 			out = io.Discard
 		}
 		d.queries[i] = &qrun{plan: plan, table: plan.Table(), rt: &e.replay[i], out: out}
+		d.queries[i].enter(plan.Table().Initial)
 	}
 	return d
 }
 
-func (d *driver) lastSeq() int        { return d.firstSeq + len(d.segs) - 1 }
-func (d *driver) segAt(seq int) *mseg { return d.segs[seq-d.firstSeq] }
+func (d *driver) lastSeq() int { return d.firstSeq + len(d.segs) - 1 }
 
 func (d *driver) anyLive() bool {
 	for _, k := range d.queries {
@@ -133,8 +141,11 @@ func (d *driver) anyLive() bool {
 }
 
 // load appends the next scanned segment to the chain. It reports false when
-// the input is exhausted (d.src.err then carries any terminal error).
+// the input is exhausted (see inputErr) and, always, on a snapshot.
 func (d *driver) load() bool {
+	if d.src == nil {
+		return false
+	}
 	t0 := time.Now()
 	seg := d.src.next()
 	dur := time.Since(t0)
@@ -153,8 +164,20 @@ func (d *driver) load() bool {
 	return true
 }
 
-// run executes the replay: load one segment per round, advance every live
-// query through everything loaded, retire what nobody needs anymore.
+// inputErr reports why the chain cannot grow: the input's terminal error
+// (nil at a clean end), or errPending on a snapshot before the input's end.
+func (d *driver) inputErr() error {
+	if d.src != nil {
+		return d.src.err()
+	}
+	if !d.exhausted {
+		return errPending
+	}
+	return d.terminal
+}
+
+// run executes a serial replay: load one segment per round, advance every
+// live query through everything loaded, retire what nobody needs anymore.
 // Pulling stops as soon as every query has finished (like the serial
 // engine, which stops at its final automaton state). One query's tag chase
 // can pull segments ahead mid-round; queries advanced earlier that round
@@ -162,15 +185,12 @@ func (d *driver) load() bool {
 // exhausted AND every live query has consumed every loaded segment.
 func (d *driver) run() (Result, error) {
 	start := time.Now()
-	for _, k := range d.queries {
-		k.enter(k.table.Initial)
-	}
 	for d.anyLive() {
 		loaded := d.load()
 		caughtUp := true
 		for _, k := range d.queries {
 			if k.live() && k.seg <= d.lastSeq() {
-				d.advance(k)
+				d.advance(k, math.MaxInt)
 				caughtUp = false
 			}
 		}
@@ -179,52 +199,85 @@ func (d *driver) run() (Result, error) {
 			break
 		}
 	}
-	d.finish()
-	d.elapsed = time.Since(start)
+	d.finish(d.src.err())
+	elapsed := time.Since(start)
 	if d.trace != nil {
-		d.trace.Add("replay (drive)", traceTIDReplay, start.Sub(d.trace.Origin()), d.elapsed)
+		d.trace.NameThread(traceTIDScan, "scan")
+		d.trace.NameThread(traceTIDReplay, "replay")
+		d.trace.NameThread(traceTIDStitch, "stitch")
+		d.trace.Add("replay (drive)", traceTIDReplay, start.Sub(d.trace.Origin()), elapsed)
 		d.trace.Add("stitch (total)", traceTIDStitch, start.Sub(d.trace.Origin()), d.stitchDur)
 	}
-	return d.result()
+	scan := core.Stats{MaxBufferBytes: int64(d.maxHeld), ScanDuration: d.scanDur, StitchDuration: d.stitchDur,
+		ReplayDuration: max(elapsed-d.scanDur-d.stitchDur, 0)}
+	d.src.close(&scan)
+	return d.result(scan)
 }
 
-// advance feeds k every candidate of every currently loaded segment, in
-// position order. Candidates before the cursor (inside the previous tag, or
-// skipped by a jump) and candidates whose keyword the current state does not
-// search for (a -1 in its transition row) are invisible, exactly as they are
-// to a standalone run. Resolving a straddling tag end may load further
-// segments mid-loop; re-reading lastSeq each iteration picks those up.
-func (d *driver) advance(k *qrun) {
-	for k.live() && k.seg <= d.lastSeq() {
-		cands := d.segAt(k.seg).cands
+// advance feeds k the candidates of the chain's segments before sequence
+// number limit, in position order. Candidates before the cursor (inside the
+// previous tag, or skipped by a jump) and candidates whose keyword the
+// current state does not search for (a -1 in its transition row) are
+// invisible, exactly as they are to a standalone run. Resolving a
+// straddling tag end may load further segments mid-loop; re-reading lastSeq
+// each iteration picks those up. Each finished segment flushes k's open
+// copy region to its end (the next match starts at or after it), so a
+// failing query has written its projection up to the segment boundary
+// before the failing tag. advance reports false when k yielded on a
+// snapshot, its candidate unconsumed.
+func (d *driver) advance(k *qrun, limit int) bool {
+	for k.live() && k.seg < limit && k.seg <= d.lastSeq() {
+		seg := d.segs[k.seg-d.firstSeq]
+		cands := seg.cands
 		row, cursor := k.row, k.cursor
 		for i := k.cand; i < len(cands); i++ {
 			c := &cands[i]
 			if c.Pos < cursor || row[c.Kw] < 0 {
 				continue
 			}
+			if !d.selectCandidate(k, c) {
+				k.cand = i
+				return false
+			}
 			k.cand = i + 1
-			d.selectCandidate(k, c)
 			if !k.live() {
-				return
+				return true
 			}
 			row, cursor = k.row, k.cursor
+		}
+		if k.copyActive && k.copyStart < seg.end() {
+			d.writeRaw(k, k.copyStart, seg.end())
+			k.copyStart = seg.end()
+			if k.writeErr != nil {
+				k.err = k.writeErr
+				return true
+			}
 		}
 		k.seg++
 		k.cand = 0
 	}
+	return true
 }
 
 // selectCandidate performs one step of the Fig. 4 automaton for query k: the
 // candidate is the first valid occurrence of the state's vocabulary at or
 // after the cursor — the same occurrence the standalone engine's search
 // would have matched. A bachelor tag is treated as its opening tag
-// immediately followed by its closing tag.
-func (d *driver) selectCandidate(k *qrun, c *core.Candidate) {
+// immediately followed by its closing tag. It reports false, with k
+// untouched, when the tag reaches past a snapshot.
+func (d *driver) selectCandidate(k *qrun, c *core.Candidate) bool {
 	tagEnd, bachelor, err := d.resolveTagEnd(k, c)
+	if err == nil && d.src == nil && tagEnd >= d.segs[len(d.segs)-1].end() {
+		// A copy of the tag needs the segment owning its end, which a
+		// serial driver loads in writeRaw; a snapshot must hold it up front.
+		err = d.cover(tagEnd)
+	}
+	if err == errPending {
+		return false
+	}
 	if err != nil {
 		k.err = err
-		return
+		return true
 	}
 	// advance only selects keywords in the state's vocabulary, and every
 	// vocabulary entry has a successor.
@@ -242,7 +295,7 @@ func (d *driver) selectCandidate(k *qrun, c *core.Candidate) {
 			}
 			if nextClose < 0 {
 				k.err = core.TransitionError(k.q, glushkov.Closing(d.tokens[c.Kw].Name))
-				return
+				return true
 			}
 			d.performClose(k, int(nextClose), tagEnd, true)
 			k.q = int(nextClose)
@@ -250,18 +303,20 @@ func (d *driver) selectCandidate(k *qrun, c *core.Candidate) {
 	}
 	if k.writeErr != nil {
 		k.err = k.writeErr
-		return
+		return true
 	}
 	k.stats.TagsMatched++
 	k.cursor = tagEnd + 1
 	k.enter(k.q)
+	return true
 }
 
 // resolveTagEnd returns the candidate's tag end, resuming the scan across
 // following segments when the tag straddles the candidate's data (the
 // scanner then reported Complete == false). Running out of input mirrors the
 // serial engine: a pending read or context error surfaces as such, a clean
-// end of input inside a tag is the EOF-inside-tag error.
+// end of input inside a tag is the EOF-inside-tag error. A chase past a
+// snapshot is suspended in k.
 func (d *driver) resolveTagEnd(k *qrun, c *core.Candidate) (int64, bool, error) {
 	if c.Complete {
 		if c.Fail != core.FailNone {
@@ -269,15 +324,27 @@ func (d *driver) resolveTagEnd(k *qrun, c *core.Candidate) (int64, bool, error) 
 		}
 		return c.TagEnd, c.Bachelor, nil
 	}
-	var ts core.TagScan
-	i := c.Pos + int64(c.KwLen)
-	for {
-		seg, err := d.segmentAt(i)
-		if err != nil {
+	ts, i := k.chase, k.chaseAt
+	if i == 0 {
+		ts, i = core.TagScan{}, c.Pos+int64(c.KwLen)
+	}
+	k.chaseAt = 0
+	// The chase starts in k's current segment and only moves forward.
+	for n := k.seg - d.firstSeq; ; n++ {
+		if n == len(d.segs) && !d.load() {
+			err := d.inputErr()
+			if err == errPending {
+				k.chase, k.chaseAt = ts, i
+				return 0, false, err
+			}
+			if err == nil {
+				err = core.EOFInsideTagError(c.Pos)
+			}
 			return 0, false, err
 		}
-		if seg == nil {
-			return 0, false, core.EOFInsideTagError(c.Pos)
+		seg := d.segs[n]
+		if i >= seg.end() {
+			continue
 		}
 		data := seg.data[:seg.owned]
 		for rel := int(i - seg.base); rel < len(data); rel++ {
@@ -294,22 +361,6 @@ func (d *driver) resolveTagEnd(k *qrun, c *core.Candidate) (int64, bool, error) 
 			}
 		}
 		i = seg.end()
-	}
-}
-
-// segmentAt returns the live segment whose owned range covers the absolute
-// offset, loading further segments as needed. It returns (nil, nil) past the
-// end of input and the terminal error if the input failed.
-func (d *driver) segmentAt(off int64) (*mseg, error) {
-	for {
-		for _, seg := range d.segs {
-			if off >= seg.base && off < seg.end() {
-				return seg, nil
-			}
-		}
-		if !d.load() {
-			return nil, d.src.err()
-		}
 	}
 }
 
@@ -349,42 +400,39 @@ func (d *driver) performClose(k *qrun, q int, tagEnd int64, bachelor bool) {
 	}
 }
 
-// ensureCovered loads segments until the chain's owned ranges cover the
-// absolute offset. It reports false only if the input ends first, which
-// cannot happen for offsets inside a resolved tag.
-func (d *driver) ensureCovered(off int64) bool {
+// cover makes the chain's owned ranges reach past the absolute offset,
+// loading further segments as needed. It fails only on a snapshot or if the
+// input ends first, which cannot happen for offsets inside a resolved tag.
+func (d *driver) cover(off int64) error {
 	for {
 		if n := len(d.segs); n > 0 && d.segs[n-1].end() > off {
-			return true
+			return nil
 		}
 		if !d.load() {
-			return false
+			if err := d.inputErr(); err != nil {
+				return err
+			}
+			return io.ErrUnexpectedEOF
 		}
 	}
 }
 
-// writeRaw copies the input bytes [from, to) to k's output, assembling them
-// from the live segments' owned ranges. A resolved tag end may lie in a
-// segment's lookahead whose owner has not been loaded yet — ensureCovered
-// loads it first.
+// writeRaw copies the input bytes [from, to) to k's output from the
+// segments' owned ranges, walking only the segments the write spans (from
+// is never before k's segment). A resolved tag end may lie in a segment's
+// lookahead whose owner has not been loaded yet — cover loads it first.
 func (d *driver) writeRaw(k *qrun, from, to int64) {
 	if k.writeErr != nil || to <= from {
 		return
 	}
-	if !d.ensureCovered(to - 1) {
-		if k.writeErr = d.src.err(); k.writeErr == nil {
-			k.writeErr = io.ErrUnexpectedEOF
-		}
+	if k.writeErr = d.cover(to - 1); k.writeErr != nil {
 		return
 	}
-	for _, seg := range d.segs {
-		lo, hi := from, to
-		if lo < seg.base {
-			lo = seg.base
+	for _, seg := range d.segs[k.seg-d.firstSeq:] {
+		if seg.base >= to {
+			return
 		}
-		if hi > seg.end() {
-			hi = seg.end()
-		}
+		lo, hi := max(from, seg.base), min(to, seg.end())
 		if lo >= hi {
 			continue
 		}
@@ -423,29 +471,16 @@ func (d *driver) writeTag(k *qrun, tag []byte) {
 	}
 }
 
-// retire drops head segments every live query has moved past, flushing each
-// open copy region up to the retired boundary first (its bytes can never be
-// needed again — the next selected match starts at or after it; the serial
-// engine flushes at window boundaries instead, but both emit the region's
-// bytes contiguously, so the concatenated output is identical). Retired
-// buffers go back to the source for reuse.
+// retire drops head segments every live query has moved past, returning
+// their buffers to the source.
 func (d *driver) retire() {
 	for len(d.segs) > 0 {
-		head := d.segs[0]
 		for _, k := range d.queries {
 			if k.live() && k.seg <= d.firstSeq {
 				return
 			}
 		}
-		for _, k := range d.queries {
-			if k.live() && k.copyActive && k.copyStart < head.end() {
-				d.writeRaw(k, k.copyStart, head.end())
-				k.copyStart = head.end()
-				if k.writeErr != nil {
-					k.err = k.writeErr
-				}
-			}
-		}
+		head := d.segs[0]
 		d.segs = d.segs[1:]
 		d.firstSeq++
 		d.held -= len(head.data)
@@ -454,43 +489,29 @@ func (d *driver) retire() {
 }
 
 // finish settles every query still live once the input is exhausted: a
-// terminal source error (read failure, cancelled context) fails each of them
+// terminal input error (read failure, cancelled context) fails each of them
 // — the standalone engine would have hit the same error at its window's next
 // read, even in a final state — while a clean end of input completes queries
 // whose state is final and diagnoses the others exactly as the serial
 // engine's end-of-input path does.
-func (d *driver) finish() {
-	if err := d.src.err(); err != nil {
-		for _, k := range d.queries {
-			if k.live() {
-				k.err = err
-			}
-		}
-		return
-	}
+func (d *driver) finish(terminal error) {
 	for _, k := range d.queries {
-		if !k.live() {
-			continue
-		}
-		if k.st.Final {
+		switch {
+		case !k.live():
+		case terminal != nil:
+			k.err = terminal
+		case k.st.Final:
 			k.done = true
-		} else {
+		default:
 			k.err = core.EndOfInputError(k.q, k.st)
 		}
 	}
 }
 
-// result unwinds the source, folds the scan-side counters and assembles the
-// per-query Stats and error slots.
-func (d *driver) result() (Result, error) {
-	res := Result{Query: make([]core.Stats, len(d.queries))}
-	d.src.close(&res.Scan)
-	res.Scan.MaxBufferBytes = int64(d.maxHeld)
-	res.Scan.ScanDuration = d.scanDur
-	res.Scan.StitchDuration = d.stitchDur
-	if rep := d.elapsed - d.scanDur - d.stitchDur; rep > 0 {
-		res.Scan.ReplayDuration = rep
-	}
+// result assembles the per-query Stats and error slots around the run's
+// shared scan-side counters.
+func (d *driver) result(scan core.Stats) (Result, error) {
+	res := Result{Query: make([]core.Stats, len(d.queries)), Scan: scan}
 
 	failed := false
 	for i, k := range d.queries {

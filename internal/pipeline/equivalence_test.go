@@ -27,7 +27,7 @@ import (
 // workers) cell over the bundled XMark and MEDLINE corpora, across chunk and
 // segment sizes, over plain, chunked and in-memory inputs, plus the
 // write-error and cancellation paths. Run it under -race to exercise the
-// parallel source's synchronization.
+// worker pool's synchronization.
 func TestEquivalenceGrid(t *testing.T) {
 	grid := testutil.Grid{}
 	grid.Run(t, testutil.XMarkWorkload(96<<10))

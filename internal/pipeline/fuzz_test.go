@@ -72,30 +72,40 @@ var fuzzMultis = sync.OnceValue(func() []*pipeline.Engine {
 	return ms
 })
 
-// checkAgainstSerial projects doc through eng with opts and requires
-// per-query agreement with each plan's standalone serial run: identical
-// projection bytes whenever the serial engine succeeds, and failure exactly
-// when it fails. This is the executable form of the pipeline's soundness
-// argument (see doc.go); run with -race to also exercise the parallel
-// source's synchronization.
+// checkAgainstSerial projects doc through eng with opts — streamed from a
+// bytes.Reader and buffered in memory — and requires per-query agreement
+// with each plan's standalone serial run: identical projection bytes
+// whenever the serial engine succeeds, and failure exactly when it fails.
+// The two inputs must also agree with each other on every query's bytes
+// and error. This is the executable form of the pipeline's soundness
+// argument (see doc.go); run with -race to also exercise the worker pool's
+// synchronization.
 func checkAgainstSerial(t *testing.T, eng *pipeline.Engine, doc []byte, opts pipeline.Options, label string) {
 	t.Helper()
 	plans := eng.Plans()
-	bufs := make([]bytes.Buffer, len(plans))
-	dsts := make([]io.Writer, len(plans))
-	for i := range bufs {
-		dsts[i] = &bufs[i]
+	streamed, streamErr := runOutputs(eng, func(dsts []io.Writer) error {
+		_, err := eng.Project(context.Background(), dsts, bytes.NewReader(doc), opts)
+		return err
+	})
+	buffered, bufErr := runOutputs(eng, func(dsts []io.Writer) error {
+		_, err := eng.ProjectBuffered(context.Background(), dsts, doc, opts)
+		return err
+	})
+	if fmt.Sprint(streamErr) != fmt.Sprint(bufErr) {
+		t.Fatalf("%s: streamed err = %v, buffered err = %v", label, streamErr, bufErr)
 	}
-	_, runErr := eng.Project(context.Background(), dsts, bytes.NewReader(doc), opts)
-	errs := testutil.PerQueryErrors(t, runErr, len(plans))
+	errs := testutil.PerQueryErrors(t, streamErr, len(plans))
 	for i, plan := range plans {
+		if !bytes.Equal(streamed[i], buffered[i]) {
+			t.Fatalf("%s query %d: streamed %d bytes, buffered %d bytes", label, i, len(streamed[i]), len(buffered[i]))
+		}
 		want, _, wantErr := core.NewFromPlan(plan).ProjectBytes(context.Background(), doc)
 		if (wantErr == nil) != (errs[i] == nil) {
 			t.Fatalf("%s query %d: serial err = %v, pipeline err = %v", label, i, wantErr, errs[i])
 		}
-		if wantErr == nil && !bytes.Equal(want, bufs[i].Bytes()) {
+		if wantErr == nil && !bytes.Equal(want, streamed[i]) {
 			t.Fatalf("%s query %d: output differs: serial %d bytes, pipeline %d bytes",
-				label, i, len(want), bufs[i].Len())
+				label, i, len(want), len(streamed[i]))
 		}
 	}
 }

@@ -15,8 +15,9 @@ import (
 
 // Options configures one projection run.
 type Options struct {
-	// Workers is the number of segment-scan workers. Values <= 1 select the
-	// serial in-line scan (one pass, no goroutines).
+	// Workers is the size of the worker pool sharing the segment scans and
+	// the K replays. Values <= 1 select the serial in-line run (one pass, no
+	// goroutines).
 	Workers int
 	// SegmentSize is the nominal parallel segment length in bytes before the
 	// '<' boundary back-off; 0 selects Workers times the chunk size (so one
@@ -29,9 +30,9 @@ type Options struct {
 	// among the merged plans.
 	ChunkSize int
 	// Trace, when non-nil, records per-stage spans (segment scan, replay,
-	// stitch) of the run for Chrome trace-event output, and enables the
-	// per-write stitch timing that untraced runs skip. The output is the
-	// same with or without it.
+	// stitch; per worker in a pool run) for Chrome trace-event output, and
+	// enables the per-write stitch timing that untraced runs skip. The run
+	// and its output are the same with or without it.
 	Trace *obs.Trace
 }
 
@@ -156,10 +157,10 @@ type Result struct {
 	// ratio counters are relative to the same document.
 	Query []core.Stats
 	// Scan holds the shared pass's counters: the bytes read, the anchored
-	// scan's shifts and comparisons (summed across workers for parallel
-	// runs), the rejected raw matches and the segment-chain memory
-	// high-water mark. This work was done once, however many queries
-	// consumed it.
+	// scan's shifts and comparisons (summed across workers for pool runs),
+	// the rejected raw matches, the segment-chain memory high-water mark and
+	// the stage durations (summed task time across a pool's workers). This
+	// work was done once, however many queries consumed it.
 	Scan core.Stats
 }
 
@@ -279,9 +280,10 @@ func (e *Engine) MinParallelInput(opts Options) int {
 // ctx.Err(). If any query fails, the returned error is a *Error with one
 // slot per query.
 //
-// With opts.Workers > 1 the segments are scanned on that many goroutines;
-// inputs smaller than one segment plus its lookahead (see MinParallelInput)
-// take the serial source instead — no goroutines, no segment copies.
+// With opts.Workers > 1 a pool of that many workers scans the segments and
+// replays the queries, writing different dsts from different goroutines at
+// once but one writer (dsts that are ==) never concurrently. Inputs smaller
+// than one segment plus its lookahead (see MinParallelInput) run serially.
 func (e *Engine) Project(ctx context.Context, dsts []io.Writer, src io.Reader, opts Options) (Result, error) {
 	// A regular-file source is memory-mapped and scanned in place (see
 	// internal/mmapio): the segments alias the mapping instead of being
@@ -311,7 +313,7 @@ func (e *Engine) Project(ctx context.Context, dsts []io.Writer, src io.Reader, o
 	segSize, overlap := e.sizing(opts.Workers, opts)
 
 	// Read the first block synchronously: if the whole input fits in one
-	// segment there is nothing to parallelize — the serial source wins, with
+	// segment there is nothing to parallelize — the serial run wins, with
 	// no goroutines and no segment copies. A read error this early is also
 	// handed to the serial path, prefix first, so the output written and the
 	// error reported match a serial run exactly.
@@ -325,14 +327,14 @@ func (e *Engine) Project(ctx context.Context, dsts []io.Writer, src io.Reader, o
 		return e.projectSerial(ctx, dsts, io.MultiReader(bytes.NewReader(first[:n]), errorReader{err}), nil, chunk, opts.Trace)
 	}
 
-	ps := newParallelSource(ctx, e.scan, opts.Workers, segSize, overlap)
-	ps.startStreaming(src, first)
-	return newDriver(e, dsts, ps, opts.Trace).run()
+	in := &serialSource{r: src, segSize: segSize, overlap: overlap, backoff: true, carry: first, bytesRead: int64(len(first))}
+	return newPool(ctx, e, dsts, in, opts.Workers, opts.Trace).run()
 }
 
 // ProjectBuffered is Project for a document already in memory: the segments
-// alias doc, so the parallel pipeline's only allocations are the candidate
-// lists, and Result.Scan.ZeroCopyInput is set. Runs that would not fan out
+// alias doc, so a pool run's only sizable allocations are the candidate
+// lists (recycled once every live query has passed their segment), and
+// Result.Scan.ZeroCopyInput is set. Runs that would not fan out
 // (Workers <= 1, small inputs) take the serial source, which slices doc in
 // place as well.
 func (e *Engine) ProjectBuffered(ctx context.Context, dsts []io.Writer, doc []byte, opts Options) (Result, error) {
@@ -345,15 +347,14 @@ func (e *Engine) ProjectBuffered(ctx context.Context, dsts []io.Writer, doc []by
 	if opts.Workers <= 1 || len(doc) < segSize+overlap || ctx.Err() != nil {
 		res, err = e.projectSerial(ctx, dsts, nil, doc, chunk, opts.Trace)
 	} else {
-		ps := newParallelSource(ctx, e.scan, opts.Workers, segSize, overlap)
-		ps.startBuffered(doc)
-		res, err = newDriver(e, dsts, ps, opts.Trace).run()
+		in := &serialSource{doc: doc, segSize: segSize, overlap: overlap, backoff: true}
+		res, err = newPool(ctx, e, dsts, in, opts.Workers, opts.Trace).run()
 	}
 	res.Scan.ZeroCopyInput = true
 	return res, err
 }
 
-// projectSerial runs the K replays over the sequential in-line source: src
+// projectSerial runs the K replays over the in-line serial source: src
 // is read segment by segment, or, when src is nil, the in-memory doc is
 // sliced in place. Both cut the same segments, so the driver —
 // and with it the output and any error — cannot tell them apart.

@@ -26,9 +26,9 @@ import (
 // prefiltering is string matching, the expensive part of serving a query —
 // scanning the document for vocabulary occurrences — is shareable across
 // queries, and K concurrent queries against one document cost one scan plus
-// K sparse replays instead of K scans. The scan itself can additionally be
-// fanned out across W workers (WithWorkers), so both axes of the unified
-// pipeline compose in one call.
+// K sparse replays instead of K scans. The scan and the K replays can
+// additionally be spread over W workers (WithWorkers), so both axes of the
+// unified pipeline compose in one call.
 //
 // A MultiPrefilter is immutable after compilation and safe for concurrent
 // use by multiple goroutines.
@@ -157,11 +157,17 @@ func (m *MultiPrefilter) MinParallelInput(workers int, opts ...ProjectOption) in
 // the scan granularity for this run, and WithStatsInto receives the
 // aggregate counters — the shared scan pass plus every query's replay,
 // with the document counted once — even on error paths. WithWorkers(n) (or
-// WithAutoWorkers) fans the shared scan out across n segment-scan workers:
-// the K replays consume one in-order candidate stream whatever the worker
-// count, so every query's output stays byte-identical to its standalone
-// Project run. Inputs smaller than one segment plus its lookahead
-// (see MinParallelInput) keep the serial scan.
+// WithAutoWorkers) runs the shared scan and the K replays on one pool of n
+// workers: each query still consumes the one in-order candidate stream
+// whatever the worker count, so every query's output stays byte-identical
+// to its standalone Project run. Inputs smaller than one segment plus its
+// lookahead (see MinParallelInput) keep the serial scan.
+//
+// Destinations: with n > 1, different dsts may be written from different
+// goroutines at the same time, so each writer must not share unsynchronized
+// state with another dst. A single writer is never written concurrently:
+// queries whose dsts are the same (==) writer are replayed one at a time,
+// and their writes interleave at segment granularity.
 //
 // Errors are isolated per query: one query's write failure or DTD
 // conformance error never stops the others. If any query fails, the returned

@@ -167,15 +167,20 @@ func resolveOptions(opts []ProjectOption) projectConfig {
 	return cfg
 }
 
-// WithWorkers projects with intra-document parallelism: the input is cut
-// into segments at tag boundaries, scanned for keyword candidates by n
-// goroutines sharing the prefilter's compiled plan, and replayed to the
-// output in input order — byte-identical to the serial run (only the
-// instrumentation counters differ; they aggregate the speculative
-// per-segment scans, see internal/pipeline). n <= 1, and inputs smaller
-// than one segment plus its lookahead (see MinParallelInput), run serially.
-// The option composes with MultiProject: K queries and n workers share one
-// candidate pipeline.
+// WithWorkers projects with intra-document parallelism on a pool of n
+// workers — the caller plus n-1 goroutines sharing the prefilter's compiled
+// plan: the input is cut into segments at tag boundaries, the workers scan
+// the segments for keyword candidates and replay each query over them in
+// input order — byte-identical to the serial run (only the instrumentation
+// counters differ; they aggregate the speculative per-segment scans, see
+// internal/pipeline). Scanning stays a few segments per worker ahead of the
+// slowest query, so memory is bounded by the segment size. n <= 1, and
+// inputs smaller than one segment plus its lookahead (see
+// MinParallelInput), run serially. The option composes with MultiProject:
+// the K replays are spread over the n workers too, so different queries'
+// destinations may be written from different goroutines at the same time;
+// one destination writer is never written concurrently, even when several
+// queries share it.
 func WithWorkers(n int) ProjectOption {
 	return func(c *projectConfig) { c.workers = n }
 }
@@ -195,13 +200,15 @@ func WithChunkSize(n int) ProjectOption {
 }
 
 // WithTrace records per-stage spans of the run — compile, segment scan,
-// candidate replay, output stitch — and writes them to w as Chrome
+// candidate replay, output stitch; with WithWorkers, each worker's scan and
+// per-query replay tasks on its own thread — and writes them to w as Chrome
 // trace-event JSON when the run finishes; the file loads directly in
 // Perfetto or chrome://tracing. Tracing also measures
 // Stats.StitchDuration, at a small per-write timing cost (ScanDuration and
-// ReplayDuration are measured on every run); the run and its output are
-// otherwise unchanged. A trace write failure is reported only if the
-// projection itself succeeded.
+// ReplayDuration are measured on every run, as summed task time across the
+// workers when there are several); the run and its output are otherwise
+// unchanged. A trace write failure is reported only if the projection
+// itself succeeded.
 func WithTrace(w io.Writer) ProjectOption {
 	return func(c *projectConfig) { c.traceOut = w }
 }

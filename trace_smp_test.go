@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -105,7 +108,8 @@ func TestWithTraceMulti(t *testing.T) {
 }
 
 // TestUntracedRunReportsStages checks that stage timing does not depend on
-// a trace: a default Project reports its scan and replay time.
+// a trace: a default Project reports its scan and replay time, and so does
+// every W > 1 run (summed over the pool's workers), buffered or streamed.
 func TestUntracedRunReportsStages(t *testing.T) {
 	pf, err := Compile(testDTD, "/*, //australia//description#", Options{})
 	if err != nil {
@@ -117,6 +121,26 @@ func TestUntracedRunReportsStages(t *testing.T) {
 	}
 	if stats.ReplayDuration <= 0 {
 		t.Errorf("ReplayDuration = %v, want > 0", stats.ReplayDuration)
+	}
+
+	m, doc := multiFixture(t, XMark, 4, 256<<10)
+	path := filepath.Join(t.TempDir(), "doc.xml")
+	if err := os.WriteFile(path, doc, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	for input, src := range map[string]io.Reader{"file": f, "stream": bytes.NewReader(doc)} {
+		var st Stats
+		if _, err := m.MultiProject(context.Background(), nil, src, WithWorkers(2), WithChunkSize(4<<10), WithStatsInto(&st)); err != nil {
+			t.Fatal(err)
+		}
+		if st.ScanDuration <= 0 || st.ReplayDuration <= 0 {
+			t.Errorf("W=2 %s: ScanDuration %v, ReplayDuration %v, want both > 0", input, st.ScanDuration, st.ReplayDuration)
+		}
 	}
 }
 
@@ -169,6 +193,45 @@ func TestTracedRunMatchesOnBadInput(t *testing.T) {
 	}
 	if failed == 0 {
 		t.Fatal("no damaged input failed: the test exercises no error path")
+	}
+
+	// A traced K=18 run on a worker pool is the untraced pool run too, on
+	// the good document and on every damaged one.
+	union, _ := multiFixture(t, XMark, 18, 1)
+	multi := func(in []byte, opts ...ProjectOption) ([]bytes.Buffer, Stats, error) {
+		bufs := make([]bytes.Buffer, union.Len())
+		dsts := make([]io.Writer, union.Len())
+		for i := range dsts {
+			dsts[i] = &bufs[i]
+		}
+		var st Stats
+		_, err := union.MultiProject(context.Background(), dsts, bytes.NewReader(in),
+			append(opts, WithWorkers(2), WithChunkSize(4<<10), WithStatsInto(&st))...)
+		return bufs, st, err
+	}
+	for i, in := range append([][]byte{doc}, bad...) {
+		plain, _, plainErr := multi(in)
+		var trace bytes.Buffer
+		traced, st, tracedErr := multi(in, WithTrace(&trace))
+		if fmt.Sprint(plainErr) != fmt.Sprint(tracedErr) {
+			t.Errorf("K=18 W=2 input %d: default err %v, traced err %v", i, plainErr, tracedErr)
+		}
+		for q := range plain {
+			if !bytes.Equal(plain[q].Bytes(), traced[q].Bytes()) {
+				t.Errorf("K=18 W=2 input %d query %d: traced run wrote %d bytes, default run %d", i, q, traced[q].Len(), plain[q].Len())
+			}
+		}
+		if i == 0 {
+			if plainErr != nil {
+				t.Fatalf("K=18 W=2 on the undamaged document: %v", plainErr)
+			}
+			if st.ScanDuration <= 0 || st.ReplayDuration <= 0 || st.StitchDuration <= 0 {
+				t.Errorf("traced K=18 W=2 run: scan %v, replay %v, stitch %v, want all > 0", st.ScanDuration, st.ReplayDuration, st.StitchDuration)
+			}
+			if !strings.Contains(trace.String(), `"replay q17"`) || !strings.Contains(trace.String(), `"worker 1"`) {
+				t.Errorf("traced K=18 W=2 run records no per-worker replay spans")
+			}
+		}
 	}
 }
 
@@ -256,6 +319,89 @@ func TestBadInputAgreesAcrossPaths(t *testing.T) {
 		t.Fatal("no damaged input failed: the test exercises no error path")
 	}
 	t.Logf("%d runs per path, %d failing", len(bad)*len(pfs), failed)
+	badInputAgreesAcrossWorkers(t, union)
+}
+
+// badInputAgreesAcrossWorkers extends the bad-input contract to K > 1 runs
+// whose K replays are spread over a worker pool: on damaged 256 KiB XMark
+// documents cut into many segments, the 18-query MultiProject at W=1 and
+// at W=2 and W=3 — over a file (mapped, buffered) and over a bytes.Reader
+// (streamed) — writes the same bytes before each query's error and returns
+// the same error for each query.
+func badInputAgreesAcrossWorkers(t *testing.T, union *MultiPrefilter) {
+	doc, err := GenerateBytes(XMark, 256<<10, 13)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bad [][]byte
+	for i := 1; i < 12; i++ {
+		n := len(doc) * i / 12
+		bad = append(bad, doc[:n])
+		flipped := append([]byte(nil), doc...)
+		flipped[n] ^= 0x20
+		bad = append(bad, flipped)
+		m := len(doc) * (12 - i) / 13
+		bad = append(bad, append(append(append([]byte(nil), doc[:n]...), doc[m:m+300]...), doc[n:]...))
+	}
+	dir := t.TempDir()
+	type run struct {
+		outs [][]byte
+		errs []error
+	}
+	project := func(src io.Reader, workers int) run {
+		bufs := make([]bytes.Buffer, union.Len())
+		dsts := make([]io.Writer, union.Len())
+		for i := range dsts {
+			dsts[i] = &bufs[i]
+		}
+		_, err := union.MultiProject(context.Background(), dsts, src, WithWorkers(workers), WithChunkSize(4<<10))
+		r := run{errs: make([]error, union.Len())}
+		var merr *MultiError
+		if errors.As(err, &merr) {
+			r.errs = merr.Errs
+		} else if err != nil {
+			t.Fatalf("run error %v is not a *MultiError", err)
+		}
+		for i := range bufs {
+			r.outs = append(r.outs, bufs[i].Bytes())
+		}
+		return r
+	}
+	failed := 0
+	for i, in := range bad {
+		path := filepath.Join(dir, fmt.Sprintf("bad%d.xml", i))
+		if err := os.WriteFile(path, in, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		serial := project(bytes.NewReader(in), 1)
+		for _, err := range serial.errs {
+			if err != nil {
+				failed++
+			}
+		}
+		for _, workers := range []int{2, 3} {
+			f, err := os.Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			runs := map[string]run{"file": project(f, workers), "stream": project(bytes.NewReader(in), workers)}
+			f.Close()
+			for input, got := range runs {
+				for q := range serial.outs {
+					if fmt.Sprint(serial.errs[q]) != fmt.Sprint(got.errs[q]) {
+						t.Errorf("input %d %s W=%d query %d: W=1 err %v, got %v", i, input, workers, q, serial.errs[q], got.errs[q])
+					}
+					if !bytes.Equal(serial.outs[q], got.outs[q]) {
+						t.Errorf("input %d %s W=%d query %d: wrote %d bytes, W=1 %d", i, input, workers, q, len(got.outs[q]), len(serial.outs[q]))
+					}
+				}
+			}
+		}
+	}
+	if failed == 0 {
+		t.Fatal("no damaged input failed a query: the K=18 runs exercise no error path")
+	}
+	t.Logf("K=18: %d inputs, %d failing query runs per path", len(bad), failed)
 }
 
 func keys(m map[string]bool) []string {
