@@ -91,10 +91,10 @@ type driver struct {
 	firstSeq int
 	queries  []*qrun
 
-	// exhausted reports that a snapshot (src == nil) ends with the input's
-	// last segment, terminal the input's error if so.
-	exhausted bool
-	terminal  error
+	// terminal is what a snapshot (src == nil) reports when a step needs
+	// input past it: errPending while the input goes on, the input's
+	// terminal error (nil at a clean end) once it holds the last segment.
+	terminal error
 
 	held    int // bytes across live segments (the run's memory)
 	maxHeld int
@@ -169,9 +169,6 @@ func (d *driver) load() bool {
 func (d *driver) inputErr() error {
 	if d.src != nil {
 		return d.src.err()
-	}
-	if !d.exhausted {
-		return errPending
 	}
 	return d.terminal
 }

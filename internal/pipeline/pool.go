@@ -214,7 +214,10 @@ func (p *pool) replay(w, i int) {
 	s.claimed, p.groupBusy[s.group] = true, true
 	p.busy++
 	d.segs, d.firstSeq = p.segs[s.seg-p.first:], s.seg
-	d.exhausted, d.terminal = p.inputDone, p.terminal
+	d.terminal = errPending
+	if p.inputDone {
+		d.terminal = p.terminal
+	}
 	ready := p.ready
 	p.mu.Unlock()
 
