@@ -48,8 +48,9 @@ type pool struct {
 	producing bool // a worker holds the producer token
 	busy      int  // tasks in flight
 	inputDone bool // the input's last segment is cut
-	stopped   bool // the run context was cancelled
+	stopped   bool // the run context was cancelled, or a replay panicked
 	terminal  error
+	panicked  any // a destination's panic, re-raised on the caller's goroutine
 	slots     []slot
 	groupBusy []bool
 	held      int
@@ -115,6 +116,9 @@ func (p *pool) run() (Result, error) {
 	}
 	p.work(0)
 	wg.Wait()
+	if p.panicked != nil {
+		panic(p.panicked)
+	}
 
 	p.main.finish(p.terminal)
 	scan := core.Stats{BytesRead: p.in.bytesRead, MaxBufferBytes: int64(p.maxHeld), ScanDuration: p.scanDur}
@@ -222,16 +226,16 @@ func (p *pool) replay(w, i int) {
 	p.mu.Unlock()
 
 	t0, stitch0 := time.Now(), d.stitchDur
-	yielded := false
-	for k.live() && k.seg < ready && p.ctx.Err() == nil && !yielded {
-		yielded = !d.advance(k, k.seg+1)
-	}
+	yielded, panicked := p.step(d, k, ready)
 	dur := time.Since(t0)
 	if p.trace != nil {
 		p.trace.Add(fmt.Sprintf("replay q%d", i), traceTIDWorker+w, t0.Sub(p.trace.Origin()), dur)
 	}
 
 	p.mu.Lock()
+	if panicked != nil {
+		p.stopped, p.panicked = true, panicked
+	}
 	s.claimed, p.groupBusy[s.group] = false, false
 	p.busy--
 	s.seg, s.live, s.wait = k.seg, k.live(), -1
@@ -242,6 +246,18 @@ func (p *pool) replay(w, i int) {
 	p.replayDur += dur - (d.stitchDur - stitch0)
 	p.retire()
 	p.wake.Broadcast()
+}
+
+// step replays k over the segments before ready and reports whether it
+// yielded. A panic from a destination's Write is recovered and returned, so
+// the pool can stop and re-raise it on the caller's goroutine, where a
+// serial run would have raised it.
+func (p *pool) step(d *driver, k *qrun, ready int) (yielded bool, panicked any) {
+	defer func() { panicked = recover() }()
+	for k.live() && k.seg < ready && p.ctx.Err() == nil && !yielded {
+		yielded = !d.advance(k, k.seg+1)
+	}
+	return yielded, nil
 }
 
 // produce runs one scan task: worker w takes the producer token, cuts the

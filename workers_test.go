@@ -220,3 +220,32 @@ func TestMultiProjectSharedWriter(t *testing.T) {
 		}
 	}
 }
+
+// panicWriter panics on its first write.
+type panicWriter struct{}
+
+func (panicWriter) Write([]byte) (int, error) { panic("destination failed") }
+
+// TestMultiProjectWriterPanicReachesCaller checks that a destination whose
+// Write panics during a W=4 run panics in the caller, as in a serial run,
+// whichever worker was writing it, and that the run's goroutines are gone.
+func TestMultiProjectWriterPanicReachesCaller(t *testing.T) {
+	m, doc := multiFixture(t, XMark, 6, 512<<10)
+	dsts := make([]io.Writer, m.Len())
+	for i := range dsts {
+		dsts[i] = io.Discard
+	}
+	dsts[3] = panicWriter{}
+	for _, workers := range []int{1, 4} {
+		before := runtime.NumGoroutine()
+		got := func() (r any) {
+			defer func() { r = recover() }()
+			m.MultiProject(context.Background(), dsts, bytes.NewReader(doc), WithWorkers(workers), WithChunkSize(4<<10))
+			return nil
+		}()
+		if got != "destination failed" {
+			t.Errorf("W=%d: recovered %v, want the destination's panic", workers, got)
+		}
+		waitGoroutines(t, before)
+	}
+}
