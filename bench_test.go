@@ -651,12 +651,13 @@ func BenchmarkMultiQueryParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkReplayMulti measures the sequential K-query replay at K=18: all
-// XMark paper queries over one 4 MiB document, as one W=1 scan-and-replay
-// pass (scan) and as a replay of the document's stored candidate index
-// (replay), which runs the same driver with no scan at all. Both report
-// document bytes per second; every query's output is checked against its
-// standalone run before timing.
+// BenchmarkReplayMulti measures the K-query replay at K=18: all XMark
+// paper queries over one 4 MiB document, as one W=1 scan-and-replay pass
+// (scan), as a replay of the document's stored candidate index on one
+// worker (replay), which runs the same pool with no scan at all, and as
+// that replay spread over two workers (replay-w2). All report document
+// bytes per second; every query's output is checked against its standalone
+// run before timing.
 func BenchmarkReplayMulti(b *testing.B) {
 	benchSetup(b)
 	queries := xmlgen.XMarkQueries()
@@ -684,6 +685,7 @@ func BenchmarkReplayMulti(b *testing.B) {
 	}{
 		{"scan", []ProjectOption{WithWorkers(1)}},
 		{"replay", []ProjectOption{WithIndex(ix)}},
+		{"replay-w2", []ProjectOption{WithIndex(ix), WithWorkers(2)}},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			bufs := make([]bytes.Buffer, len(pfs))

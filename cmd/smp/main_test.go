@@ -317,7 +317,7 @@ func TestRunTraceEmitsChromeJSON(t *testing.T) {
 			names[name] = true
 		}
 	}
-	for _, span := range []string{"compile", "scan", "replay (drive)"} {
+	for _, span := range []string{"compile", "scan", "replay q0"} {
 		if !names[span] {
 			t.Errorf("trace missing %q span", span)
 		}

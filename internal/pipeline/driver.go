@@ -3,27 +3,17 @@ package pipeline
 import (
 	"errors"
 	"io"
-	"math"
 	"time"
 
 	"smp/internal/compile"
 	"smp/internal/core"
 	"smp/internal/glushkov"
-	"smp/internal/obs"
 	"smp/internal/projection"
-)
-
-// Logical trace-thread ids for the stage spans a traced run records. Tid 0
-// is reserved for the caller's compile span (see smp.WithTrace).
-const (
-	traceTIDScan   = 1
-	traceTIDReplay = 2
-	traceTIDStitch = 3
 )
 
 // qrun is the replay state of one query: its automaton position, cursor,
 // copy region and counters — exactly the per-run state of a standalone
-// serial engine, minus the window (the driver's shared segment chain plays
+// serial engine, minus the window (the pool's shared segment chain plays
 // that role for every query at once).
 type qrun struct {
 	plan  *core.Plan
@@ -76,183 +66,83 @@ func (k *qrun) enter(q int) {
 	}
 }
 
-// driver owns the chain of live segments and steps the K query replays over
-// it. A serial run (W <= 1) is one driver pulling segments from its source
-// in rounds (run); in a pool run (W > 1, pool.go) each worker steps queries
-// on its own driver over a snapshot of the pool's segments, with no source.
+// driver steps queries for one pool worker: each replay task hands it a
+// snapshot of the pool's segments, from the claimed query's next segment to
+// the last one cut, and the query consumes candidates from them until it
+// has passed the scanned ones or needs input past the snapshot.
 type driver struct {
 	// tokens and closeOf are the engine's union keyword tables: a
 	// candidate's token, and the closing keyword of a bachelor tag.
 	tokens  []glushkov.Token
 	closeOf []int32
 
-	src      source
-	segs     []*mseg // live chain; segs[0] has sequence number firstSeq
+	segs     []*mseg // the snapshot; segs[0] has sequence number firstSeq
 	firstSeq int
-	queries  []*qrun
-
-	// terminal is what a snapshot (src == nil) reports when a step needs
-	// input past it: errPending while the input goes on, the input's
-	// terminal error (nil at a clean end) once it holds the last segment.
+	end      int64 // one past the snapshot's last owned byte
+	// terminal is what a step reports when it needs input past the
+	// snapshot: errPending while the input goes on, the input's terminal
+	// error (nil at a clean end) once the snapshot holds the last segment.
 	terminal error
 
-	held    int // bytes across live segments (the run's memory)
-	maxHeld int
-
-	// Stage timing. scanDur (time spent pulling segments from the source)
-	// is always measured: two clock reads per segment round, noise against
-	// the per-segment scan itself. stitchDur (time inside output writes) is
-	// only measured when a trace is attached — a clock read per Write would
-	// tax candidate-dense replays — so untraced runs fold stitching into
-	// the replay remainder, which run derives from its wall time.
-	trace     *obs.Trace
-	scanDur   time.Duration
-	stitchDur time.Duration
+	// timeWrites enables the per-write clock reads behind stitchDur (the
+	// time inside output writes), which only traced runs pay for.
+	timeWrites bool
+	stitchDur  time.Duration
 }
 
-// errPending reports that a step needs input past a pool worker's snapshot:
+// errPending reports that a step needs input past the worker's snapshot:
 // the query yields until the pool has cut further. It never leaves the
 // package.
 var errPending = errors.New("pipeline: input past the read frontier")
 
-func newDriver(e *Engine, dsts []io.Writer, src source, trace *obs.Trace) *driver {
-	d := &driver{tokens: e.scan.Tokens(), closeOf: e.closeOf, src: src, trace: trace}
-	d.queries = make([]*qrun, len(e.plans))
-	for i, plan := range e.plans {
-		out := dsts[i]
-		if out == nil {
-			out = io.Discard
-		}
-		d.queries[i] = &qrun{plan: plan, table: plan.Table(), rt: &e.replay[i], out: out}
-		d.queries[i].enter(plan.Table().Initial)
+// snapshot hands the driver the segments segs, the first of which has
+// sequence number first.
+func (d *driver) snapshot(segs []*mseg, first int, terminal error) {
+	d.segs, d.firstSeq, d.terminal, d.end = segs, first, terminal, 0
+	if n := len(segs); n > 0 {
+		d.end = segs[n-1].end()
 	}
-	return d
 }
 
 func (d *driver) lastSeq() int { return d.firstSeq + len(d.segs) - 1 }
 
-func (d *driver) anyLive() bool {
-	for _, k := range d.queries {
-		if k.live() {
+// advance feeds k the candidates of its next segment, which the snapshot
+// holds scanned, in position order. Candidates before the cursor (inside the
+// previous tag, or skipped by a jump) and candidates whose keyword the
+// current state does not search for (a -1 in its transition row) are
+// invisible, exactly as they are to a standalone run. A finished segment
+// flushes k's open copy region to its end (the next match starts at or
+// after it). advance reports false when k yielded, its candidate
+// unconsumed, because the tag reaches past the snapshot.
+func (d *driver) advance(k *qrun) bool {
+	seg := d.segs[k.seg-d.firstSeq]
+	cands := seg.cands
+	row, cursor := k.row, k.cursor
+	for i := k.cand; i < len(cands); i++ {
+		c := &cands[i]
+		if c.Pos < cursor || row[c.Kw] < 0 {
+			continue
+		}
+		if !d.selectCandidate(k, c) {
+			k.cand = i
+			return false
+		}
+		k.cand = i + 1
+		if !k.live() {
+			return true
+		}
+		row, cursor = k.row, k.cursor
+	}
+	if k.copyActive && k.copyStart < seg.end() {
+		d.writeRaw(k, k.copyStart, seg.end())
+		k.copyStart = seg.end()
+		if k.writeErr != nil {
+			k.err = k.writeErr
 			return true
 		}
 	}
-	return false
-}
-
-// load appends the next scanned segment to the chain. It reports false when
-// the input is exhausted (see inputErr) and, always, on a snapshot.
-func (d *driver) load() bool {
-	if d.src == nil {
-		return false
-	}
-	t0 := time.Now()
-	seg := d.src.next()
-	dur := time.Since(t0)
-	d.scanDur += dur
-	if d.trace != nil && seg != nil {
-		d.trace.Add("scan", traceTIDScan, t0.Sub(d.trace.Origin()), dur)
-	}
-	if seg == nil {
-		return false
-	}
-	d.segs = append(d.segs, seg)
-	d.held += len(seg.data)
-	if d.held > d.maxHeld {
-		d.maxHeld = d.held
-	}
-	return true
-}
-
-// inputErr reports why the chain cannot grow: the input's terminal error
-// (nil at a clean end), or errPending on a snapshot before the input's end.
-func (d *driver) inputErr() error {
-	if d.src != nil {
-		return d.src.err()
-	}
-	return d.terminal
-}
-
-// run executes a serial replay: load one segment per round, advance every
-// live query through everything loaded, retire what nobody needs anymore.
-// Pulling stops as soon as every query has finished (like the serial
-// engine, which stops at its final automaton state). One query's tag chase
-// can pull segments ahead mid-round; queries advanced earlier that round
-// catch up on the next pass, so the loop only ends once the input is
-// exhausted AND every live query has consumed every loaded segment.
-func (d *driver) run() (Result, error) {
-	start := time.Now()
-	for d.anyLive() {
-		loaded := d.load()
-		caughtUp := true
-		for _, k := range d.queries {
-			if k.live() && k.seg <= d.lastSeq() {
-				d.advance(k, math.MaxInt)
-				caughtUp = false
-			}
-		}
-		d.retire()
-		if !loaded && caughtUp {
-			break
-		}
-	}
-	d.finish(d.src.err())
-	elapsed := time.Since(start)
-	if d.trace != nil {
-		d.trace.NameThread(traceTIDScan, "scan")
-		d.trace.NameThread(traceTIDReplay, "replay")
-		d.trace.NameThread(traceTIDStitch, "stitch")
-		d.trace.Add("replay (drive)", traceTIDReplay, start.Sub(d.trace.Origin()), elapsed)
-		d.trace.Add("stitch (total)", traceTIDStitch, start.Sub(d.trace.Origin()), d.stitchDur)
-	}
-	scan := core.Stats{MaxBufferBytes: int64(d.maxHeld), ScanDuration: d.scanDur, StitchDuration: d.stitchDur,
-		ReplayDuration: max(elapsed-d.scanDur-d.stitchDur, 0)}
-	d.src.close(&scan)
-	return d.result(scan)
-}
-
-// advance feeds k the candidates of the chain's segments before sequence
-// number limit, in position order. Candidates before the cursor (inside the
-// previous tag, or skipped by a jump) and candidates whose keyword the
-// current state does not search for (a -1 in its transition row) are
-// invisible, exactly as they are to a standalone run. Resolving a
-// straddling tag end may load further segments mid-loop; re-reading lastSeq
-// each iteration picks those up. Each finished segment flushes k's open
-// copy region to its end (the next match starts at or after it), so a
-// failing query has written its projection up to the segment boundary
-// before the failing tag. advance reports false when k yielded on a
-// snapshot, its candidate unconsumed.
-func (d *driver) advance(k *qrun, limit int) bool {
-	for k.live() && k.seg < limit && k.seg <= d.lastSeq() {
-		seg := d.segs[k.seg-d.firstSeq]
-		cands := seg.cands
-		row, cursor := k.row, k.cursor
-		for i := k.cand; i < len(cands); i++ {
-			c := &cands[i]
-			if c.Pos < cursor || row[c.Kw] < 0 {
-				continue
-			}
-			if !d.selectCandidate(k, c) {
-				k.cand = i
-				return false
-			}
-			k.cand = i + 1
-			if !k.live() {
-				return true
-			}
-			row, cursor = k.row, k.cursor
-		}
-		if k.copyActive && k.copyStart < seg.end() {
-			d.writeRaw(k, k.copyStart, seg.end())
-			k.copyStart = seg.end()
-			if k.writeErr != nil {
-				k.err = k.writeErr
-				return true
-			}
-		}
-		k.seg++
-		k.cand = 0
-	}
+	k.seg++
+	k.cand = 0
 	return true
 }
 
@@ -261,19 +151,18 @@ func (d *driver) advance(k *qrun, limit int) bool {
 // after the cursor — the same occurrence the standalone engine's search
 // would have matched. A bachelor tag is treated as its opening tag
 // immediately followed by its closing tag. It reports false, with k
-// untouched, when the tag reaches past a snapshot.
+// untouched, when the tag reaches past the snapshot: copying it needs the
+// segment owning its end.
 func (d *driver) selectCandidate(k *qrun, c *core.Candidate) bool {
 	tagEnd, bachelor, err := d.resolveTagEnd(k, c)
-	if err == nil && d.src == nil && tagEnd >= d.segs[len(d.segs)-1].end() {
-		// A copy of the tag needs the segment owning its end, which a
-		// serial driver loads in writeRaw; a snapshot must hold it up front.
-		err = d.cover(tagEnd)
+	if err == nil && tagEnd >= d.end {
+		err = d.pastEnd()
 	}
 	if err == errPending {
 		return false
 	}
 	if err != nil {
-		k.err = err
+		d.fail(k, c.Pos, err)
 		return true
 	}
 	// advance only selects keywords in the state's vocabulary, and every
@@ -291,7 +180,7 @@ func (d *driver) selectCandidate(k *qrun, c *core.Candidate) bool {
 				nextClose = k.rt.row(next)[ck]
 			}
 			if nextClose < 0 {
-				k.err = core.TransitionError(k.q, glushkov.Closing(d.tokens[c.Kw].Name))
+				d.fail(k, c.Pos, core.TransitionError(k.q, glushkov.Closing(d.tokens[c.Kw].Name)))
 				return true
 			}
 			d.performClose(k, int(nextClose), tagEnd, true)
@@ -308,12 +197,36 @@ func (d *driver) selectCandidate(k *qrun, c *core.Candidate) bool {
 	return true
 }
 
+// fail fails k on the tag starting at pos. Its open copy region is written
+// up to the tag first, so the bytes before an error are the projection of
+// the input before the failing tag, wherever the input was cut.
+func (d *driver) fail(k *qrun, pos int64, err error) {
+	if k.copyActive && k.copyStart < pos {
+		d.writeRaw(k, k.copyStart, pos)
+		k.copyStart = pos
+	}
+	k.err = err
+	if k.writeErr != nil {
+		k.err = k.writeErr
+	}
+}
+
+// pastEnd reports why a step cannot read past the snapshot: errPending
+// while the input goes on, else the input's terminal error or, at a clean
+// end, io.ErrUnexpectedEOF (which a resolved tag end cannot reach).
+func (d *driver) pastEnd() error {
+	if d.terminal != nil {
+		return d.terminal
+	}
+	return io.ErrUnexpectedEOF
+}
+
 // resolveTagEnd returns the candidate's tag end, resuming the scan across
 // following segments when the tag straddles the candidate's data (the
 // scanner then reported Complete == false). Running out of input mirrors the
-// serial engine: a pending read or context error surfaces as such, a clean
-// end of input inside a tag is the EOF-inside-tag error. A chase past a
-// snapshot is suspended in k.
+// serial engine: a read error surfaces as such, a clean end of input inside
+// a tag is the EOF-inside-tag error. A chase past the snapshot is suspended
+// in k.
 func (d *driver) resolveTagEnd(k *qrun, c *core.Candidate) (int64, bool, error) {
 	if c.Complete {
 		if c.Fail != core.FailNone {
@@ -327,19 +240,7 @@ func (d *driver) resolveTagEnd(k *qrun, c *core.Candidate) (int64, bool, error) 
 	}
 	k.chaseAt = 0
 	// The chase starts in k's current segment and only moves forward.
-	for n := k.seg - d.firstSeq; ; n++ {
-		if n == len(d.segs) && !d.load() {
-			err := d.inputErr()
-			if err == errPending {
-				k.chase, k.chaseAt = ts, i
-				return 0, false, err
-			}
-			if err == nil {
-				err = core.EOFInsideTagError(c.Pos)
-			}
-			return 0, false, err
-		}
-		seg := d.segs[n]
+	for _, seg := range d.segs[k.seg-d.firstSeq:] {
 		if i >= seg.end() {
 			continue
 		}
@@ -359,6 +260,14 @@ func (d *driver) resolveTagEnd(k *qrun, c *core.Candidate) (int64, bool, error) 
 		}
 		i = seg.end()
 	}
+	err := d.terminal
+	switch err {
+	case errPending:
+		k.chase, k.chaseAt = ts, i
+	case nil:
+		err = core.EOFInsideTagError(c.Pos)
+	}
+	return 0, false, err
 }
 
 // performOpen executes the action of state q, entered by an opening tag
@@ -397,32 +306,12 @@ func (d *driver) performClose(k *qrun, q int, tagEnd int64, bachelor bool) {
 	}
 }
 
-// cover makes the chain's owned ranges reach past the absolute offset,
-// loading further segments as needed. It fails only on a snapshot or if the
-// input ends first, which cannot happen for offsets inside a resolved tag.
-func (d *driver) cover(off int64) error {
-	for {
-		if n := len(d.segs); n > 0 && d.segs[n-1].end() > off {
-			return nil
-		}
-		if !d.load() {
-			if err := d.inputErr(); err != nil {
-				return err
-			}
-			return io.ErrUnexpectedEOF
-		}
-	}
-}
-
 // writeRaw copies the input bytes [from, to) to k's output from the
-// segments' owned ranges, walking only the segments the write spans (from
-// is never before k's segment). A resolved tag end may lie in a segment's
-// lookahead whose owner has not been loaded yet — cover loads it first.
+// snapshot's owned ranges, walking only the segments the write spans (from
+// is never before k's segment, and selectCandidate made sure the snapshot
+// reaches past to).
 func (d *driver) writeRaw(k *qrun, from, to int64) {
 	if k.writeErr != nil || to <= from {
-		return
-	}
-	if k.writeErr = d.cover(to - 1); k.writeErr != nil {
 		return
 	}
 	for _, seg := range d.segs[k.seg-d.firstSeq:] {
@@ -433,17 +322,8 @@ func (d *driver) writeRaw(k *qrun, from, to int64) {
 		if lo >= hi {
 			continue
 		}
-		var t0 time.Time
-		if d.trace != nil {
-			t0 = time.Now()
-		}
-		n, err := k.out.Write(seg.data[lo-seg.base : hi-seg.base])
-		if d.trace != nil {
-			d.stitchDur += time.Since(t0)
-		}
-		k.stats.BytesWritten += int64(n)
-		if err != nil {
-			k.writeErr = err
+		d.write(k, seg.data[lo-seg.base:hi-seg.base])
+		if k.writeErr != nil {
 			return
 		}
 	}
@@ -451,83 +331,21 @@ func (d *driver) writeRaw(k *qrun, from, to int64) {
 
 // writeTag writes a synthesized tag to k's output.
 func (d *driver) writeTag(k *qrun, tag []byte) {
-	if k.writeErr != nil {
-		return
+	if k.writeErr == nil {
+		d.write(k, tag)
 	}
+}
+
+// write writes p to k's output, timing the write when the run is traced.
+func (d *driver) write(k *qrun, p []byte) {
 	var t0 time.Time
-	if d.trace != nil {
+	if d.timeWrites {
 		t0 = time.Now()
 	}
-	n, err := k.out.Write(tag)
-	if d.trace != nil {
+	n, err := k.out.Write(p)
+	if d.timeWrites {
 		d.stitchDur += time.Since(t0)
 	}
 	k.stats.BytesWritten += int64(n)
-	if err != nil {
-		k.writeErr = err
-	}
-}
-
-// retire drops head segments every live query has moved past, returning
-// their buffers to the source.
-func (d *driver) retire() {
-	for len(d.segs) > 0 {
-		for _, k := range d.queries {
-			if k.live() && k.seg <= d.firstSeq {
-				return
-			}
-		}
-		head := d.segs[0]
-		d.segs = d.segs[1:]
-		d.firstSeq++
-		d.held -= len(head.data)
-		d.src.recycle(head)
-	}
-}
-
-// finish settles every query still live once the input is exhausted: a
-// terminal input error (read failure, cancelled context) fails each of them
-// — the standalone engine would have hit the same error at its window's next
-// read, even in a final state — while a clean end of input completes queries
-// whose state is final and diagnoses the others exactly as the serial
-// engine's end-of-input path does.
-func (d *driver) finish(terminal error) {
-	for _, k := range d.queries {
-		switch {
-		case !k.live():
-		case terminal != nil:
-			k.err = terminal
-		case k.st.Final:
-			k.done = true
-		default:
-			k.err = core.EndOfInputError(k.q, k.st)
-		}
-	}
-}
-
-// result assembles the per-query Stats and error slots around the run's
-// shared scan-side counters.
-func (d *driver) result(scan core.Stats) (Result, error) {
-	res := Result{Query: make([]core.Stats, len(d.queries)), Scan: scan}
-
-	failed := false
-	for i, k := range d.queries {
-		k.stats.BytesRead = res.Scan.BytesRead
-		k.stats.States = k.table.Stats.States
-		k.stats.CWStates = k.table.Stats.CWStates
-		k.stats.BMStates = k.table.Stats.BMStates
-		k.stats.MatchersBuilt = k.plan.MatcherCount()
-		res.Query[i] = k.stats
-		if k.err != nil {
-			failed = true
-		}
-	}
-	if !failed {
-		return res, nil
-	}
-	errs := make([]error, len(d.queries))
-	for i, k := range d.queries {
-		errs[i] = k.err
-	}
-	return res, &Error{Errs: errs}
+	k.writeErr = err
 }

@@ -1,7 +1,6 @@
 package pipeline
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -16,23 +15,24 @@ import (
 // Options configures one projection run.
 type Options struct {
 	// Workers is the size of the worker pool sharing the segment scans and
-	// the K replays. Values <= 1 select the serial in-line run (one pass, no
-	// goroutines).
+	// the K replays: the caller plus Workers-1 goroutines. Values <= 1 run
+	// on the caller alone.
 	Workers int
-	// SegmentSize is the nominal parallel segment length in bytes before the
-	// '<' boundary back-off; 0 selects Workers times the chunk size (so one
-	// round of segments covers roughly one window per worker). Serial runs
-	// ignore it — their segment granularity is the chunk size.
+	// SegmentSize is the nominal segment length in bytes of a run on more
+	// than one worker, before the '<' boundary back-off; 0 selects Workers
+	// times the chunk size (so one round of segments covers roughly one
+	// window per worker). One-worker runs and replays ignore it — their
+	// segment granularity is the chunk size.
 	SegmentSize int
 	// ChunkSize overrides the plans' streaming chunk size for this run: it
-	// sets the serial segment granularity, the default parallel segment
-	// sizing and the parallel lookahead. 0 selects the largest chunk size
-	// among the merged plans.
+	// sets the one-worker and replay segment granularity, the default
+	// segment sizing of larger pools and their lookahead. 0 selects the
+	// largest chunk size among the merged plans.
 	ChunkSize int
-	// Trace, when non-nil, records per-stage spans (segment scan, replay,
-	// stitch; per worker in a pool run) for Chrome trace-event output, and
-	// enables the per-write stitch timing that untraced runs skip. The run
-	// and its output are the same with or without it.
+	// Trace, when non-nil, records each worker's scan and replay task spans
+	// for Chrome trace-event output, and enables the per-write stitch timing
+	// that untraced runs skip. The run and its output are the same with or
+	// without it.
 	Trace *obs.Trace
 }
 
@@ -217,51 +217,34 @@ func (e *Error) Unwrap() []error {
 	return errs
 }
 
-// resolve validates the destinations and resolves the run's chunk size.
-func (e *Engine) resolve(dsts []io.Writer, opts Options) ([]io.Writer, int, error) {
-	if dsts == nil {
-		dsts = make([]io.Writer, len(e.plans))
-	}
-	if len(dsts) != len(e.plans) {
-		return nil, 0, fmt.Errorf("pipeline: %d destinations for %d queries", len(dsts), len(e.plans))
-	}
-	chunk := opts.ChunkSize
-	if chunk <= 0 {
-		chunk = e.chunk
-	}
-	return dsts, chunk, nil
-}
-
-// sizing resolves the parallel segment size and lookahead of one run. The
-// lookahead must cover a keyword starting on the last owned byte plus its
-// terminator; one chunk keeps straddling tag-end scans rare.
+// sizing resolves the segment size and lookahead of a run on workers
+// workers. The lookahead must cover a keyword starting on the last owned
+// byte plus its terminator. One worker cuts chunk-sized segments — clamped
+// so tiny chunk overrides do not degenerate into per-byte segments — with
+// that minimal lookahead, which keeps a streamed run's per-segment copy
+// small; a pool of several cuts Workers chunks per segment, with a chunk of
+// lookahead to keep straddling tag-end scans rare.
 func (e *Engine) sizing(workers int, opts Options) (segSize, overlap int) {
-	if workers < 1 {
-		workers = 1
-	}
 	chunk := opts.ChunkSize
 	if chunk <= 0 {
 		chunk = e.chunk
+	}
+	overlap = e.scan.MaxKeywordLen() + 1
+	if workers <= 1 {
+		return max(chunk, 64), overlap
 	}
 	segSize = opts.SegmentSize
 	if segSize <= 0 {
 		segSize = workers * chunk
 	}
-	if segSize < 16 {
-		segSize = 16
-	}
-	overlap = chunk
-	if min := e.scan.MaxKeywordLen() + 1; overlap < min {
-		overlap = min
-	}
-	return segSize, overlap
+	return max(segSize, 16), max(chunk, overlap)
 }
 
 // MinParallelInput returns the smallest input size, in bytes, that a run
 // with the given options actually scans in parallel: one segment plus its
-// lookahead. Smaller inputs fall back to the serial source, so callers that
-// route work by size (e.g. a service threshold) should clamp their
-// threshold to at least this value to keep their accounting honest.
+// lookahead. Smaller inputs run on the caller alone, so callers that route
+// work by size (e.g. a service threshold) should clamp their threshold to
+// at least this value to keep their accounting honest.
 func (e *Engine) MinParallelInput(opts Options) int {
 	segSize, overlap := e.sizing(opts.Workers, opts)
 	return segSize + overlap
@@ -274,16 +257,18 @@ func (e *Engine) MinParallelInput(opts Options) int {
 // (nil writers discard that query's output); a nil dsts discards every
 // output, for measurement runs.
 //
-// The context is checked at every segment boundary — the pipeline's
-// analogue of the serial window's chunk boundary — so a cancelled ctx stops
-// the run before its next read and fails the unfinished queries with
-// ctx.Err(). If any query fails, the returned error is a *Error with one
-// slot per query.
+// The context is checked before every task of the run — every segment scan
+// and every segment a query replays — so a cancelled ctx stops the run
+// before its next read and fails the unfinished queries with ctx.Err(). If
+// any query fails, the returned error is a *Error with one slot per query.
+// A failing query has written its projection of the input before the
+// failing tag (or, when the input ends or fails, of all of it).
 //
 // With opts.Workers > 1 a pool of that many workers scans the segments and
 // replays the queries, writing different dsts from different goroutines at
 // once but one writer (dsts that are ==) never concurrently. Inputs smaller
-// than one segment plus its lookahead (see MinParallelInput) run serially.
+// than one segment plus its lookahead (see MinParallelInput) run on the
+// caller alone.
 func (e *Engine) Project(ctx context.Context, dsts []io.Writer, src io.Reader, opts Options) (Result, error) {
 	// A regular-file source is memory-mapped and scanned in place (see
 	// internal/mmapio): the segments alias the mapping instead of being
@@ -300,70 +285,66 @@ func (e *Engine) Project(ctx context.Context, dsts []io.Writer, src io.Reader, o
 			return res, err
 		}
 	}
-	dsts, chunk, err := e.resolve(dsts, opts)
-	if err != nil {
-		return Result{}, err
-	}
-	if opts.Workers <= 1 || ctx.Err() != nil {
-		// A pre-cancelled context takes the serial path too: its source
-		// observes the cancellation before the first read, so the run fails
-		// without spawning anything.
-		return e.projectSerial(ctx, dsts, src, nil, chunk, opts.Trace)
-	}
-	segSize, overlap := e.sizing(opts.Workers, opts)
-
-	// Read the first block synchronously: if the whole input fits in one
-	// segment there is nothing to parallelize — the serial run wins, with
-	// no goroutines and no segment copies. A read error this early is also
-	// handed to the serial path, prefix first, so the output written and the
-	// error reported match a serial run exactly.
-	first := make([]byte, segSize+overlap)
-	n, err := io.ReadFull(src, first)
-	switch err {
-	case nil:
-	case io.EOF, io.ErrUnexpectedEOF:
-		return e.projectSerial(ctx, dsts, nil, first[:n], chunk, opts.Trace)
-	default:
-		return e.projectSerial(ctx, dsts, io.MultiReader(bytes.NewReader(first[:n]), errorReader{err}), nil, chunk, opts.Trace)
-	}
-
-	in := &serialSource{r: src, segSize: segSize, overlap: overlap, backoff: true, carry: first, bytesRead: int64(len(first))}
-	return newPool(ctx, e, dsts, in, opts.Workers, opts.Trace).run()
+	return e.run(ctx, dsts, &input{r: src}, opts)
 }
 
 // ProjectBuffered is Project for a document already in memory: the segments
-// alias doc, so a pool run's only sizable allocations are the candidate
-// lists (recycled once every live query has passed their segment), and
-// Result.Scan.ZeroCopyInput is set. Runs that would not fan out
-// (Workers <= 1, small inputs) take the serial source, which slices doc in
-// place as well.
+// alias doc, so a run's only sizable allocations are the candidate lists
+// (recycled once every live query has passed their segment), and
+// Result.Scan.ZeroCopyInput is set.
 func (e *Engine) ProjectBuffered(ctx context.Context, dsts []io.Writer, doc []byte, opts Options) (Result, error) {
-	dsts, chunk, err := e.resolve(dsts, opts)
-	if err != nil {
-		return Result{}, err
-	}
-	segSize, overlap := e.sizing(opts.Workers, opts)
-	var res Result
-	if opts.Workers <= 1 || len(doc) < segSize+overlap || ctx.Err() != nil {
-		res, err = e.projectSerial(ctx, dsts, nil, doc, chunk, opts.Trace)
-	} else {
-		in := &serialSource{doc: doc, segSize: segSize, overlap: overlap, backoff: true}
-		res, err = newPool(ctx, e, dsts, in, opts.Workers, opts.Trace).run()
-	}
+	res, err := e.run(ctx, dsts, &input{doc: doc}, opts)
 	res.Scan.ZeroCopyInput = true
 	return res, err
 }
 
-// projectSerial runs the K replays over the in-line serial source: src
-// is read segment by segment, or, when src is nil, the in-memory doc is
-// sliced in place. Both cut the same segments, so the driver —
-// and with it the output and any error — cannot tell them apart.
-func (e *Engine) projectSerial(ctx context.Context, dsts []io.Writer, src io.Reader, doc []byte, chunk int, trace *obs.Trace) (Result, error) {
-	// The serial segment granularity is the chunk size, clamped so tiny
-	// chunk overrides do not degenerate into per-byte segments.
-	segSize := chunk
-	if segSize < 64 {
-		segSize = 64
+// Replay projects the K queries from a stored candidate stream instead of
+// scanning doc: the pool steps each query's Fig. 4 automaton over cands
+// exactly as it would over a fresh scan's stream, so the output is
+// byte-identical to Project/ProjectBuffered by construction — provided cands
+// is the complete verified occurrence stream of a vocabulary that subsumes
+// every query (see internal/index: Covers gates this, Bind gates staleness).
+//
+// cands must be strictly increasing in Pos with every candidate Complete —
+// the shape internal/index.Build records and Decode validates — and each
+// Kw is an ID in this engine's union vocabulary, i.e. an index into
+// e.ScanPlan().Keywords(). A stream stored for another vocabulary must be
+// translated first (internal/index: CandidatesFor); a Kw outside the
+// vocabulary fails the run before anything is written. opts.Workers spreads
+// the K replays over a pool as in Project; the stream is cut into
+// chunk-sized segments (opts.ChunkSize) at every worker count, so a
+// segment's candidates stay in cache across the K replays. doc may be nil
+// when cands is empty — the replay then behaves like an empty document,
+// which is how summary-proven "no keyword occurs" documents are skipped
+// without touching their bytes (the caller patches Stats.BytesRead
+// afterwards).
+func (e *Engine) Replay(ctx context.Context, dsts []io.Writer, doc []byte, cands []core.Candidate, opts Options) (Result, error) {
+	nkw := int32(e.scan.KeywordCount())
+	for i := range cands {
+		if kw := cands[i].Kw; kw < 0 || kw >= nkw {
+			return Result{}, fmt.Errorf("pipeline: replay candidate %d at offset %d: keyword ID %d outside the engine's %d-keyword vocabulary", i, cands[i].Pos, kw, nkw)
+		}
 	}
-	return newDriver(e, dsts, newSerialSource(ctx, src, doc, e.scan, segSize), trace).run()
+	// The replay reads no bytes it does not copy, but it reports the whole
+	// document, as the scan it stands in for does.
+	res, err := e.run(ctx, dsts, &input{doc: doc, replay: true, stored: cands, bytesRead: int64(len(doc))}, opts)
+	res.Scan.ZeroCopyInput = true
+	return res, err
+}
+
+// run sizes in's segments and projects it on a pool of opts.Workers.
+func (e *Engine) run(ctx context.Context, dsts []io.Writer, in *input, opts Options) (Result, error) {
+	if dsts == nil {
+		dsts = make([]io.Writer, len(e.plans))
+	}
+	if len(dsts) != len(e.plans) {
+		return Result{}, fmt.Errorf("pipeline: %d destinations for %d queries", len(dsts), len(e.plans))
+	}
+	workers := max(opts.Workers, 1)
+	in.segSize, in.overlap = e.sizing(workers, opts)
+	if in.replay {
+		in.segSize, _ = e.sizing(1, opts)
+		in.overlap = 0
+	}
+	return newPool(ctx, e, dsts, in, workers, opts.Trace).run()
 }

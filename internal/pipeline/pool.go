@@ -21,24 +21,27 @@ import (
 const poolLookahead = 4
 
 // traceTIDWorker is the trace thread of pool worker 0; worker w records its
-// scan and replay spans on traceTIDWorker+w.
-const traceTIDWorker = 4
+// scan and replay spans on traceTIDWorker+w. Thread 0 is the caller's
+// compile span (see smp.WithTrace).
+const traceTIDWorker = 1
 
-// pool runs one W > 1 projection on the caller plus W-1 goroutines. Each
-// worker loops taking a task under the mutex: replay one query (the one
-// furthest behind) over the scanned segments it has not replayed yet, or
-// else cut the next segment (one worker at a time, so segments stay in
-// input order) and scan it. A claimed query is stepped outside the mutex on
-// the worker's driver over a snapshot of the segments cut so far, and
-// publishes its position in its slot when the task ends. Queries writing
-// to the same destination are never claimed together.
+// pool runs one projection on the caller plus W-1 helper goroutines, which
+// start once the input proves longer than one segment. Each worker loops
+// taking a task under the mutex: replay one query (the one furthest
+// behind) over the scanned segments it has not replayed yet, or else cut
+// the next segment (one worker at a time, so segments stay in input order)
+// and scan it — or, replaying a stored stream, slice it. A claimed query is
+// stepped outside the mutex on the worker's driver over a snapshot of the
+// segments cut so far, and publishes its position in its slot when the task
+// ends. Queries writing to the same destination are never claimed together.
 type pool struct {
 	ctx      context.Context
 	trace    *obs.Trace
-	main     *driver   // owns the queries; settles and reports them at the end
+	queries  []*qrun
 	drivers  []*driver // per worker: a segment snapshot and its stitch time
 	scanners []*core.SegmentScanner
-	in       *serialSource // cut only by the producer token's holder
+	in       *input // cut only by the producer token's holder
+	helpers  sync.WaitGroup
 
 	mu        sync.Mutex
 	wake      sync.Cond
@@ -56,7 +59,7 @@ type pool struct {
 	held      int
 	maxHeld   int
 	scanDur   time.Duration
-	replayDur time.Duration
+	workDur   time.Duration // the workers' time in work, less their idle waits
 }
 
 // slot is what the scheduler knows of one query: what its last task
@@ -73,22 +76,31 @@ type slot struct {
 }
 
 // newPool prepares a run over in's input on workers workers.
-func newPool(ctx context.Context, e *Engine, dsts []io.Writer, in *serialSource, workers int, trace *obs.Trace) *pool {
-	p := &pool{ctx: ctx, trace: trace, main: newDriver(e, dsts, nil, trace), in: in,
+func newPool(ctx context.Context, e *Engine, dsts []io.Writer, in *input, workers int, trace *obs.Trace) *pool {
+	p := &pool{ctx: ctx, trace: trace, in: in, queries: make([]*qrun, e.Len()),
 		slots: make([]slot, e.Len()), groupBusy: make([]bool, e.Len())}
 	p.wake.L = &p.mu
-	for i, k := range p.main.queries {
-		p.slots[i] = slot{live: k.live(), wait: -1, group: i}
-		for j, o := range p.main.queries[:i] {
-			if sameWriter(k.out, o.out) {
+	for i, plan := range e.plans {
+		out := dsts[i]
+		if out == nil {
+			out = io.Discard
+		}
+		k := &qrun{plan: plan, table: plan.Table(), rt: &e.replay[i], out: out}
+		k.enter(plan.Table().Initial)
+		p.queries[i], p.slots[i] = k, slot{live: k.live(), wait: -1, group: i}
+		// One worker never writes two destinations at once.
+		for j, o := range p.queries[:i] {
+			if workers > 1 && sameWriter(out, o.out) {
 				p.slots[i].group = p.slots[j].group
 				break
 			}
 		}
 	}
 	for w := 0; w < workers; w++ {
-		p.drivers = append(p.drivers, &driver{tokens: p.main.tokens, closeOf: p.main.closeOf, trace: trace})
-		p.scanners = append(p.scanners, e.scan.NewScanner())
+		p.drivers = append(p.drivers, &driver{tokens: e.scan.Tokens(), closeOf: e.closeOf, timeWrites: trace != nil})
+		if !in.replay {
+			p.scanners = append(p.scanners, e.scan.NewScanner())
+		}
 		if trace != nil {
 			trace.NameThread(traceTIDWorker+w, fmt.Sprintf("worker %d", w))
 		}
@@ -104,23 +116,18 @@ func sameWriter(a, b io.Writer) bool {
 	return a != io.Discard && t == reflect.TypeOf(b) && t.Comparable() && a == b
 }
 
-// run executes the projection and settles every query.
+// run executes the projection on the caller, settles every query and
+// reports the run. The stage durations are summed across the workers: the
+// scan tasks, the writes (traced runs only), and the rest of the workers'
+// busy time as replay.
 func (p *pool) run() (Result, error) {
-	var wg sync.WaitGroup
-	for w := 1; w < len(p.drivers); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			p.work(w)
-		}()
-	}
 	p.work(0)
-	wg.Wait()
+	p.helpers.Wait()
 	if p.panicked != nil {
 		panic(p.panicked)
 	}
 
-	p.main.finish(p.terminal)
+	p.finish()
 	scan := core.Stats{BytesRead: p.in.bytesRead, MaxBufferBytes: int64(p.maxHeld), ScanDuration: p.scanDur}
 	for _, sc := range p.scanners {
 		addScanCounters(&scan, sc)
@@ -128,13 +135,14 @@ func (p *pool) run() (Result, error) {
 	for _, d := range p.drivers {
 		scan.StitchDuration += d.stitchDur
 	}
-	scan.ReplayDuration = max(p.replayDur-scan.StitchDuration, 0)
-	return p.main.result(scan)
+	scan.ReplayDuration = max(p.workDur-p.scanDur-scan.StitchDuration, 0)
+	return p.result(scan)
 }
 
 // work is worker w's loop. The context is checked before every task, and
 // a replay task checks it again before every segment.
 func (p *pool) work(w int) {
+	start, idle := time.Now(), time.Duration(0)
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for {
@@ -145,6 +153,13 @@ func (p *pool) work(w int) {
 			}
 		}
 		if !p.stopped {
+			// Cutting a stored stream costs next to nothing, so it runs
+			// ahead to the lookahead and each replay task takes several
+			// segments; a scan waits until no replay is claimable.
+			if p.in.replay && p.canProduce() {
+				p.produce(w)
+				continue
+			}
 			if i := p.pick(); i >= 0 {
 				p.replay(w, i)
 				continue
@@ -157,10 +172,26 @@ func (p *pool) work(w int) {
 		// With input left and a query live, a replay is claimable or the
 		// lookahead admits a scan, so an idle pool is a finished one.
 		if p.busy == 0 && (p.stopped || p.inputDone || !p.anyLive()) {
+			p.workDur += time.Since(start) - idle
 			p.wake.Broadcast()
 			return
 		}
+		t0 := time.Now()
 		p.wake.Wait()
+		idle += time.Since(t0)
+	}
+}
+
+// startHelpers starts the W-1 helper goroutines. They start once the first
+// cut leaves input over, so an input of one segment runs on the caller
+// alone.
+func (p *pool) startHelpers() {
+	for w := 1; w < len(p.drivers); w++ {
+		p.helpers.Add(1)
+		go func() {
+			defer p.helpers.Done()
+			p.work(w)
+		}()
 	}
 }
 
@@ -214,22 +245,24 @@ func (p *pool) canProduce() bool {
 // the mutex over the segments cut so far, consuming candidates from the
 // scanned ones only, then publishes where it got to.
 func (p *pool) replay(w, i int) {
-	s, k, d := &p.slots[i], p.main.queries[i], p.drivers[w]
+	s, k, d := &p.slots[i], p.queries[i], p.drivers[w]
 	s.claimed, p.groupBusy[s.group] = true, true
 	p.busy++
-	d.segs, d.firstSeq = p.segs[s.seg-p.first:], s.seg
-	d.terminal = errPending
+	terminal := errPending
 	if p.inputDone {
-		d.terminal = p.terminal
+		terminal = p.terminal
 	}
+	d.snapshot(p.segs[s.seg-p.first:], s.seg, terminal)
 	ready := p.ready
 	p.mu.Unlock()
 
-	t0, stitch0 := time.Now(), d.stitchDur
-	yielded, panicked := p.step(d, k, ready)
-	dur := time.Since(t0)
+	var t0 time.Time
 	if p.trace != nil {
-		p.trace.Add(fmt.Sprintf("replay q%d", i), traceTIDWorker+w, t0.Sub(p.trace.Origin()), dur)
+		t0 = time.Now()
+	}
+	yielded, panicked := p.step(d, k, ready)
+	if p.trace != nil {
+		p.trace.Add(fmt.Sprintf("replay q%d", i), traceTIDWorker+w, t0.Sub(p.trace.Origin()), time.Since(t0))
 	}
 
 	p.mu.Lock()
@@ -243,26 +276,24 @@ func (p *pool) replay(w, i int) {
 		s.wait = d.lastSeq() + 1
 	}
 	d.segs = nil
-	p.replayDur += dur - (d.stitchDur - stitch0)
 	p.retire()
 	p.wake.Broadcast()
 }
 
 // step replays k over the segments before ready and reports whether it
 // yielded. A panic from a destination's Write is recovered and returned, so
-// the pool can stop and re-raise it on the caller's goroutine, where a
-// serial run would have raised it.
+// the pool can stop and re-raise it on the caller's goroutine.
 func (p *pool) step(d *driver, k *qrun, ready int) (yielded bool, panicked any) {
 	defer func() { panicked = recover() }()
 	for k.live() && k.seg < ready && p.ctx.Err() == nil && !yielded {
-		yielded = !d.advance(k, k.seg+1)
+		yielded = !d.advance(k)
 	}
 	return yielded, nil
 }
 
 // produce runs one scan task: worker w takes the producer token, cuts the
 // next segment outside the mutex, appends it, hands the token on, and
-// scans the segment.
+// scans the segment. A stored stream's segment arrives with its candidates.
 func (p *pool) produce(w int) {
 	p.producing = true
 	p.busy++
@@ -281,17 +312,20 @@ func (p *pool) produce(w int) {
 	p.segs = append(p.segs, seg)
 	p.held += len(seg.data)
 	p.maxHeld = max(p.maxHeld, p.held)
-	p.wake.Broadcast()
-	p.mu.Unlock()
-
-	seg.cands = p.scanners[w].Scan(cands, seg.data, seg.base, seg.owned, seg.final)
+	if p.numCut() == 1 && !p.inputDone {
+		p.startHelpers()
+	}
+	if !seg.scanned {
+		p.wake.Broadcast()
+		p.mu.Unlock()
+		seg.cands = p.scanners[w].Scan(cands, seg.data, seg.base, seg.owned, seg.final)
+		p.mu.Lock()
+		seg.scanned = true
+	}
 	dur := time.Since(t0)
 	if p.trace != nil {
 		p.trace.Add("scan", traceTIDWorker+w, t0.Sub(p.trace.Origin()), dur)
 	}
-
-	p.mu.Lock()
-	seg.scanned = true
 	for p.ready < p.numCut() && p.segs[p.ready-p.first].scanned {
 		p.ready++
 	}
@@ -315,4 +349,51 @@ func (p *pool) retire() {
 		p.held -= len(head.data)
 		p.in.recycle(head)
 	}
+}
+
+// finish settles every query still live once the input is exhausted: a
+// terminal input error (read failure, cancelled context) fails each of them
+// — the standalone engine would have hit the same error at its window's next
+// read, even in a final state — while a clean end of input completes queries
+// whose state is final and diagnoses the others exactly as the serial
+// engine's end-of-input path does.
+func (p *pool) finish() {
+	for _, k := range p.queries {
+		switch {
+		case !k.live():
+		case p.terminal != nil:
+			k.err = p.terminal
+		case k.st.Final:
+			k.done = true
+		default:
+			k.err = core.EndOfInputError(k.q, k.st)
+		}
+	}
+}
+
+// result assembles the per-query Stats and error slots around the run's
+// shared scan-side counters.
+func (p *pool) result(scan core.Stats) (Result, error) {
+	res := Result{Query: make([]core.Stats, len(p.queries)), Scan: scan}
+
+	failed := false
+	for i, k := range p.queries {
+		k.stats.BytesRead = res.Scan.BytesRead
+		k.stats.States = k.table.Stats.States
+		k.stats.CWStates = k.table.Stats.CWStates
+		k.stats.BMStates = k.table.Stats.BMStates
+		k.stats.MatchersBuilt = k.plan.MatcherCount()
+		res.Query[i] = k.stats
+		if k.err != nil {
+			failed = true
+		}
+	}
+	if !failed {
+		return res, nil
+	}
+	errs := make([]error, len(p.queries))
+	for i, k := range p.queries {
+		errs[i] = k.err
+	}
+	return res, &Error{Errs: errs}
 }

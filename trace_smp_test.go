@@ -10,14 +10,16 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestWithTrace verifies the WithTrace contract end to end on a real
 // projection: the traced output stays byte-identical to the untraced run,
 // the per-stage duration fields on Stats come back non-zero, and the
 // emitted trace is a well-formed Chrome trace-event array containing the
-// compile/scan/replay/stitch spans.
+// compile span and the worker's scan and replay task spans.
 func TestWithTrace(t *testing.T) {
 	pf, err := Compile(testDTD, "/*, //australia//description#", Options{})
 	if err != nil {
@@ -59,7 +61,7 @@ func TestWithTrace(t *testing.T) {
 			names[name] = true
 		}
 	}
-	for _, want := range []string{"compile", "scan", "replay (drive)", "stitch (total)", "process_name", "thread_name"} {
+	for _, want := range []string{"compile", "scan", "replay q0", "process_name", "thread_name"} {
 		if !names[want] {
 			t.Errorf("trace is missing %q events (have %v)", want, keys(names))
 		}
@@ -235,11 +237,56 @@ func TestTracedRunMatchesOnBadInput(t *testing.T) {
 	}
 }
 
+// sleepWriter discards its input, sleeping in its first n writes and
+// adding the measured sleep time to slept.
+type sleepWriter struct {
+	n     atomic.Int32
+	slept *atomic.Int64
+}
+
+func (w *sleepWriter) Write(p []byte) (int, error) {
+	if w.n.Add(-1) >= 0 {
+		t0 := time.Now()
+		time.Sleep(time.Millisecond)
+		w.slept.Add(int64(time.Since(t0)))
+	}
+	return len(p), nil
+}
+
+// TestTracedStitchCountsSlowWrites checks the stage split of a traced run
+// whose destinations are slow: the time inside their writes is stitch time,
+// counted once, so StitchDuration covers every sleep and ReplayDuration
+// keeps the replay's own share, on one worker and on two.
+func TestTracedStitchCountsSlowWrites(t *testing.T) {
+	m, doc := multiFixture(t, XMark, 4, 256<<10)
+	for _, workers := range []int{1, 2} {
+		var slept atomic.Int64
+		dsts := make([]io.Writer, m.Len())
+		for i := range dsts {
+			w := &sleepWriter{slept: &slept}
+			w.n.Store(5)
+			dsts[i] = w
+		}
+		var st Stats
+		if _, err := m.MultiProject(context.Background(), dsts, bytes.NewReader(doc), WithWorkers(workers),
+			WithChunkSize(4<<10), WithTrace(io.Discard), WithStatsInto(&st)); err != nil {
+			t.Fatal(err)
+		}
+		if st.ReplayDuration <= 0 {
+			t.Errorf("W=%d: ReplayDuration = %v, want > 0", workers, st.ReplayDuration)
+		}
+		if sleeps := time.Duration(slept.Load()); st.StitchDuration < sleeps {
+			t.Errorf("W=%d: StitchDuration = %v, want >= the %v the writes slept", workers, st.StitchDuration, sleeps)
+		}
+	}
+}
+
 // TestBadInputAgreesAcrossPaths pins the bad-input contract across the
 // execution paths a caller can pick: on truncated, byte-flipped and spliced
 // XMark documents, the serial run, a W=2 run, a replay of the query's own
 // sidecar and a replay of a K=18 superset sidecar write the same bytes
-// before the error and return the same error.
+// before the error — the projection of the input before the failing tag —
+// and return the same error.
 func TestBadInputAgreesAcrossPaths(t *testing.T) {
 	dtdSource, err := DatasetDTD(XMark)
 	if err != nil {
@@ -319,7 +366,55 @@ func TestBadInputAgreesAcrossPaths(t *testing.T) {
 		t.Fatal("no damaged input failed: the test exercises no error path")
 	}
 	t.Logf("%d runs per path, %d failing", len(bad)*len(pfs), failed)
+	badInputAgreesAcrossCuts(t, dtdSource)
 	badInputAgreesAcrossWorkers(t, union)
+}
+
+// badInputAgreesAcrossCuts pins the bytes before an error inside an open
+// copy region that spans several segments of every cut: the regions
+// subtree of a 256 KiB XMark document, truncated by an unterminated
+// </regions tag at offset 40118. One worker cuts 4 KiB segments, W=2 and
+// W=3 cut 8 and 12 KiB backed off to a '<', and the sidecar replay cuts
+// 4 KiB segments, yet all of them write the region up to the failing tag.
+func badInputAgreesAcrossCuts(t *testing.T, dtdSource string) {
+	doc, err := GenerateBytes(XMark, 256<<10, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const at = 40118
+	in := append(append([]byte(nil), doc[:at]...), "</regions   "...)
+	pf, err := Compile(dtdSource, "/site/regions#", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type run struct {
+		out []byte
+		err error
+	}
+	project := func(opts ...ProjectOption) run {
+		var buf bytes.Buffer
+		_, err := pf.Project(context.Background(), &buf, bytes.NewReader(in), append(opts, WithChunkSize(4<<10))...)
+		return run{buf.Bytes(), err}
+	}
+	serial := project()
+	if serial.err == nil || !strings.Contains(serial.err.Error(), "inside tag at offset 40118") {
+		t.Fatalf("truncated regions: err %v, want end of input inside the tag at offset %d", serial.err, at)
+	}
+	if start := bytes.Index(in, []byte("<regions")); !bytes.HasSuffix(serial.out, in[start:at]) {
+		t.Errorf("truncated regions: wrote %d bytes, not the regions subtree up to the failing tag", len(serial.out))
+	}
+	for path, got := range map[string]run{
+		"workers=2":   project(WithWorkers(2)),
+		"workers=3":   project(WithWorkers(3)),
+		"own sidecar": project(WithIndex(pf.BuildIndex(in))),
+	} {
+		if fmt.Sprint(got.err) != fmt.Sprint(serial.err) {
+			t.Errorf("truncated regions %s: err %v, serial err %v", path, got.err, serial.err)
+		}
+		if !bytes.Equal(got.out, serial.out) {
+			t.Errorf("truncated regions %s: wrote %d bytes, serial %d", path, len(got.out), len(serial.out))
+		}
+	}
 }
 
 // badInputAgreesAcrossWorkers extends the bad-input contract to K > 1 runs
