@@ -447,9 +447,8 @@ func (s *server) handleProject(w http.ResponseWriter, r *http.Request) {
 	// sent as HTTP trailers (declared before the first body write).
 	w.Header().Set("Trailer", "X-SMP-Bytes-Read, X-SMP-Bytes-Written, X-SMP-Char-Comparisons, X-SMP-Tags-Matched")
 	// Count an intra-document run only if the body is also large enough for
-	// the split pipeline itself — below pf.MinParallelInput, WithWorkers
-	// silently falls back to the serial scan and /stats must not claim a
-	// parallel run.
+	// the split pipeline itself — below pf.MinParallelInput, a WithWorkers
+	// run stays on one worker and /stats must not claim a parallel run.
 	var opts []smp.ProjectOption
 	if s.intraWorkers > 1 && srcSize >= s.intraMin &&
 		srcSize >= int64(pf.MinParallelInput(s.intraWorkers)) {
@@ -634,8 +633,8 @@ func (s *server) handleMultiProject(w http.ResponseWriter, r *http.Request) {
 	}
 	// Same intra-document policy as /project: a body large enough for the
 	// parallel segment scan is served by the unified K×W pipeline. Below
-	// MinParallelInput, WithWorkers silently falls back to the serial shared
-	// scan and /stats must not claim a parallel run.
+	// MinParallelInput, a WithWorkers run stays on one worker and /stats
+	// must not claim a parallel run.
 	opts := []smp.ProjectOption{}
 	if s.intraWorkers > 1 && r.ContentLength >= s.intraMin &&
 		r.ContentLength >= int64(multi.MinParallelInput(s.intraWorkers)) {

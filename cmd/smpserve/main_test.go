@@ -353,9 +353,8 @@ func TestIntraDocParallelThreshold(t *testing.T) {
 	srv.intraMin = 64 << 10
 
 	// The body must exceed one segment plus its lookahead (workers × 32 KiB
-	// chunk + 32 KiB lookahead = 160 KiB at 4 workers), or ProjectParallel
-	// silently falls back to the serial engine and the parallel HTTP path
-	// goes unexercised.
+	// chunk + 32 KiB lookahead = 160 KiB at 4 workers), or the run stays on
+	// one worker and the parallel HTTP path goes unexercised.
 	var big bytes.Buffer
 	big.WriteString(`<site><regions><africa/><asia/><australia>`)
 	for big.Len() < 256<<10 {

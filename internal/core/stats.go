@@ -71,16 +71,19 @@ type Stats struct {
 	// prefiltering). Always <= IndexHits.
 	IndexSummarySkips int64
 	// ScanDuration, ReplayDuration and StitchDuration split a staged
-	// (internal/pipeline) run into its stages: segment scanning, candidate
-	// replay through the runtime automaton, and stitching the projected
-	// output to the writers. For a serial run they split its wall time; for
-	// a run on a worker pool (WithWorkers > 1) they are task time summed
-	// across the workers, so together they can exceed the wall time.
-	// ScanDuration and ReplayDuration are always measured on staged runs;
-	// StitchDuration is only measured when a trace is attached (per-write
-	// clock reads are not free), and ReplayDuration excludes it — so
-	// without a trace ReplayDuration also absorbs the stitch time. The
-	// window engine has no stages and leaves all three zero.
+	// (internal/pipeline) run into its stages: segment scanning (for an
+	// index replay, slicing the stored stream), candidate replay through
+	// the runtime automaton, and stitching the projected output to the
+	// writers. One rule holds at every worker count: each is time summed
+	// across the run's workers — the scan tasks, the output writes, and the
+	// rest of the workers' busy time (idle waits excluded) as replay — so
+	// with one worker they split its wall time and with several they can
+	// together exceed it. ScanDuration and ReplayDuration are always
+	// measured on staged runs; StitchDuration is only measured when a trace
+	// is attached (per-write clock reads are not free), and ReplayDuration
+	// excludes it — so without a trace ReplayDuration also absorbs the
+	// stitch time. The window engine has no stages and leaves all three
+	// zero.
 	ScanDuration   time.Duration
 	ReplayDuration time.Duration
 	StitchDuration time.Duration

@@ -1,8 +1,8 @@
 // Package pipeline is the one production execution engine: every
-// projection run — one query or K, serial or W workers, scanned or replayed
+// projection run — one query or K, one worker or W, scanned or replayed
 // from a persisted index — is K merged queries replaying one shared
-// candidate stream cut from the document in segments (a single query is
-// K=1; W > 1 runs share the scans and the K replays on one worker pool).
+// candidate stream cut from the document in segments, on one worker pool
+// (a single query is K=1; one worker is W=1, the caller alone).
 // The paper's skip-based window engine (internal/core) stays as the
 // reference this package is tested against, not as a second path.
 //
@@ -22,10 +22,11 @@
 // core.SegmentScanner), so they compose here instead of multiplying code
 // paths: the input becomes an in-order chain of scanned segments, and K
 // query replays consume it, retiring segments once every live query has
-// passed them. A pool run scans within a fixed lookahead of its slowest
-// live query, so memory stays bounded by the segment size, and writes
-// different queries' destinations from different goroutines (never one
-// destination concurrently).
+// passed them. A replay of a stored stream is the same chain with the
+// scan replaced by slicing the stream. The pool scans within a fixed
+// lookahead of its slowest live query, so memory stays bounded by the
+// segment size, and with W > 1 writes different queries' destinations from
+// different goroutines (never one destination concurrently).
 //
 // Invariants that make every cell of the K×W grid byte-identical to a
 // standalone serial core run of each query:
@@ -45,6 +46,11 @@
 //     query finishes; the serial engine flushes at window boundaries
 //     instead, but both emit the region's bytes contiguously and never
 //     beyond the next match, so the concatenated output is identical.
+//   - A query failing on a tag flushes its open copy region up to the
+//     tag's start first, and one failing at the end of the input has
+//     flushed it to the end, so the bytes before an error are the
+//     projection of the input before the failure at every worker count
+//     and segment cut.
 //
 // A compiled Engine is immutable and safe for concurrent use; every
 // Project call allocates its own run state.

@@ -183,7 +183,8 @@ func TestBoundaryStraddle(t *testing.T) {
 // TestReadErrorMidStream checks that a mid-stream read failure is surfaced
 // for every live query (not swallowed and not deadlocked on), including when
 // the stream dies inside a tag, and that a failure during the very first
-// block degrades to the serial path with byte-identical prefix output.
+// block, before one segment fills, still projects the readable prefix
+// exactly as the serial engine does.
 func TestReadErrorMidStream(t *testing.T) {
 	doc := testutil.BuildFig1Doc(32 << 10)
 	boom := errors.New("disk on fire")
@@ -214,9 +215,9 @@ func TestReadErrorMidStream(t *testing.T) {
 		check(fmt.Sprintf("w%d/mid-tag", workers), doc[:bytes.LastIndex(doc[:16<<10], []byte("<name"))+3], opts)
 	}
 
-	// An error during the very first block (before one segment fills) is
-	// handed to the serial path prefix-first; the underlying error must
-	// surface and the readable prefix must still have been projected.
+	// An error during the very first block (before one segment fills) cuts
+	// one non-final segment, run on the caller alone; the underlying error
+	// must surface and the readable prefix must still have been projected.
 	var serialOut bytes.Buffer
 	_, serialErr := core.NewFromPlan(plans[0]).Project(context.Background(), &serialOut, testutil.ErrReader(doc[:100], boom))
 	if !errors.Is(serialErr, boom) {
@@ -264,9 +265,10 @@ func TestWriteErrorIsolation(t *testing.T) {
 	}
 }
 
-// TestSerialFallback checks the documented fallbacks: one worker, degenerate
-// worker counts and inputs smaller than a segment take the serial path and
-// still produce correct output with honest byte accounting.
+// TestSerialFallback checks the documented one-worker runs: one worker,
+// degenerate worker counts and inputs smaller than a segment run on the
+// caller alone and still produce correct output with honest byte
+// accounting.
 func TestSerialFallback(t *testing.T) {
 	doc := testutil.BuildFig1Doc(4 << 10)
 	plan := testutil.MakePlan(t, testutil.Fig1DTD, "/*, //australia//description#", core.Options{})

@@ -157,9 +157,9 @@ type Result struct {
 	// ratio counters are relative to the same document.
 	Query []core.Stats
 	// Scan holds the shared pass's counters: the bytes read, the anchored
-	// scan's shifts and comparisons (summed across workers for pool runs),
-	// the rejected raw matches, the segment-chain memory high-water mark and
-	// the stage durations (summed task time across a pool's workers). This
+	// scan's shifts and comparisons (summed across the workers), the
+	// rejected raw matches, the segment-chain memory high-water mark and
+	// the stage durations (summed across the workers, see core.Stats). This
 	// work was done once, however many queries consumed it.
 	Scan core.Stats
 }

@@ -134,7 +134,7 @@ func (m *MultiPrefilter) PlanStats() MultiPlanStats {
 
 // MinParallelInput returns the smallest input size, in bytes, that
 // MultiProject with WithWorkers(workers) actually scans in parallel (one
-// segment plus its lookahead); smaller inputs take the serial scan. Pass
+// segment plus its lookahead); smaller inputs run on the caller alone. Pass
 // the same options the projection will use — a WithChunkSize override
 // changes the threshold (a WithWorkers option takes precedence over the
 // workers argument).
@@ -161,7 +161,7 @@ func (m *MultiPrefilter) MinParallelInput(workers int, opts ...ProjectOption) in
 // workers: each query still consumes the one in-order candidate stream
 // whatever the worker count, so every query's output stays byte-identical
 // to its standalone Project run. Inputs smaller than one segment plus its
-// lookahead (see MinParallelInput) keep the serial scan.
+// lookahead (see MinParallelInput) run on the caller alone.
 //
 // Destinations: with n > 1, different dsts may be written from different
 // goroutines at the same time, so each writer must not share unsynchronized

@@ -174,13 +174,16 @@ func resolveOptions(opts []ProjectOption) projectConfig {
 // input order — byte-identical to the serial run (only the instrumentation
 // counters differ; they aggregate the speculative per-segment scans, see
 // internal/pipeline). Scanning stays a few segments per worker ahead of the
-// slowest query, so memory is bounded by the segment size. n <= 1, and
-// inputs smaller than one segment plus its lookahead (see
-// MinParallelInput), run serially. The option composes with MultiProject:
-// the K replays are spread over the n workers too, so different queries'
-// destinations may be written from different goroutines at the same time;
-// one destination writer is never written concurrently, even when several
-// queries share it.
+// slowest query, so memory is bounded by the segment size. n <= 1 runs on
+// the caller alone, and so do inputs smaller than one segment plus its
+// lookahead (see MinParallelInput): the n-1 goroutines start only once a
+// second segment is due. A query that fails writes the same bytes before
+// its error whatever n is: its projection of the input before the failing
+// tag (or, when the input ends or fails, of all of it). The option composes
+// with MultiProject and with WithIndex: the K replays are spread over the
+// n workers too, so different queries' destinations may be written from
+// different goroutines at the same time; one destination writer is never
+// written concurrently, even when several queries share it.
 func WithWorkers(n int) ProjectOption {
 	return func(c *projectConfig) { c.workers = n }
 }
@@ -191,23 +194,21 @@ func WithAutoWorkers() ProjectOption {
 	return WithWorkers(runtime.GOMAXPROCS(0))
 }
 
-// WithChunkSize overrides the chunk size (the read and serial segment
-// granularity, default 32 KiB) for this run only. For parallel runs it also
-// scales the default segment size and the segment lookahead. n <= 0 keeps
-// the prefilter's compiled value.
+// WithChunkSize overrides the chunk size (the one-worker and index-replay
+// segment granularity, default 32 KiB) for this run only. For parallel
+// scans it also scales the default segment size and the segment lookahead.
+// n <= 0 keeps the prefilter's compiled value.
 func WithChunkSize(n int) ProjectOption {
 	return func(c *projectConfig) { c.chunkSize = n }
 }
 
-// WithTrace records per-stage spans of the run — compile, segment scan,
-// candidate replay, output stitch; with WithWorkers, each worker's scan and
-// per-query replay tasks on its own thread — and writes them to w as Chrome
-// trace-event JSON when the run finishes; the file loads directly in
-// Perfetto or chrome://tracing. Tracing also measures
+// WithTrace records spans of the run — compile, then each worker's segment
+// scan and per-query replay tasks on its own thread — and writes them to w
+// as Chrome trace-event JSON when the run finishes; the file loads directly
+// in Perfetto or chrome://tracing. Tracing also measures
 // Stats.StitchDuration, at a small per-write timing cost (ScanDuration and
-// ReplayDuration are measured on every run, as summed task time across the
-// workers when there are several); the run and its output are otherwise
-// unchanged. A trace write failure is reported only if the projection
+// ReplayDuration are measured on every run, summed across the workers);
+// the run and its output are otherwise unchanged. A trace write failure is reported only if the projection
 // itself succeeded.
 func WithTrace(w io.Writer) ProjectOption {
 	return func(c *projectConfig) { c.traceOut = w }
@@ -230,9 +231,8 @@ func WithStatsInto(st *Stats) ProjectOption {
 // prefilter's DTD.
 //
 // The context is honoured at every segment boundary in every layer — the
-// serial scan, the parallel segment reader, the stitcher and the workers
-// — so a cancelled ctx makes Project return ctx.Err() promptly without
-// leaking goroutines. Output already written to dst stays written; callers
+// segment reads, scans and replays of every worker — so a cancelled ctx
+// makes Project return ctx.Err() promptly without leaking goroutines. Output already written to dst stays written; callers
 // that must not observe partial output use ProjectFile (which removes the
 // file on failure) or buffer dst themselves.
 //
@@ -328,7 +328,7 @@ func (p *Prefilter) ProjectFile(ctx context.Context, inPath, outPath string, opt
 
 // MinParallelInput returns the smallest input size, in bytes, that Project
 // with WithWorkers(workers) actually projects in parallel (one segment plus
-// its lookahead); smaller inputs take the serial fallback. Useful for
+// its lookahead); smaller inputs run on the caller alone. Useful for
 // callers that route documents by size and want their accounting to reflect
 // runs that really fanned out. Pass the same options the projection will
 // use — a WithChunkSize override changes the threshold (a WithWorkers

@@ -9,8 +9,11 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
+
+	"smp/internal/core"
 )
 
 // TestMultiProjectWorkersBoundMemory is the regression test for W > 1 runs
@@ -42,6 +45,9 @@ func TestMultiProjectWorkersBoundMemory(t *testing.T) {
 		return run{st, after.TotalAlloc - before.TotalAlloc, err}
 	}
 	serial := project(bytes.NewReader(doc), 1)
+	if bound := heldBound(m, 1, true); serial.stats.MaxBufferBytes > bound {
+		t.Errorf("W=1 held %d bytes of segments, want <= %d", serial.stats.MaxBufferBytes, bound)
+	}
 	var tooLong *MultiError
 	if !errors.As(serial.err, &tooLong) || len(tooLong.Errs) != 18 {
 		t.Fatalf("W=1: err = %v, want all 18 queries failing", serial.err)
@@ -90,6 +96,99 @@ func TestMultiProjectWorkersBoundMemory(t *testing.T) {
 		if got.alloc > allocBound {
 			t.Errorf("%s W=2 allocated %d MiB, want <= %d MiB (W=1 allocated %d MiB)", in.name, got.alloc>>20, allocBound>>20, serial.alloc>>20)
 		}
+		if bound := heldBound(m, 2, true); got.stats.MaxBufferBytes > bound {
+			t.Errorf("%s W=2 held %d bytes of segments, want <= %d", in.name, got.stats.MaxBufferBytes, bound)
+		}
+	}
+	// A sidecar of this document would hold every one of its 5M candidates
+	// (160 MiB) for a run that fails 1 MiB in; the shapes below replay one.
+	boundMemoryOnShapes(t, m)
+}
+
+// heldBound is the most segment bytes a run on workers workers may hold:
+// the pool scans at most 4 segments per worker past its slowest query, plus
+// the segment being cut, the one being replayed and the one a chase started
+// in. A query chasing an unterminated tag also holds the segments the tag
+// spans until it is too long, each with its lookahead, which is at most as
+// long as the segment.
+func heldBound(m *MultiPrefilter, workers int, chase bool) int64 {
+	bound := (4*int64(workers) + 3) * int64(m.MinParallelInput(workers))
+	if chase {
+		bound += 2 * core.MaxTagLength
+	}
+	return bound
+}
+
+// boundMemoryOnShapes runs the 18 XMark queries over adversarial document
+// shapes — a 16 MiB text node without a '<', 2 MiB of items each nested as
+// deep as the (non-recursive) XMark DTD allows, and a 16 MiB tag that never
+// ends — on one worker, on two, and replayed from a sidecar on one and on
+// two. Every run must hold no more segment bytes than the lookahead bound,
+// and write the same bytes and errors as the W=1 scan.
+func boundMemoryOnShapes(t *testing.T, m *MultiPrefilter) {
+	const (
+		open  = `<site><regions><africa>`
+		close = `</africa><asia></asia><australia></australia><europe></europe><namerica></namerica><samerica></samerica></regions>` +
+			`<categories><category id="c0"><name>n</name><description><text>t</text></description></category></categories>` +
+			`<catgraph></catgraph><people></people><open_auctions></open_auctions><closed_auctions></closed_auctions></site>`
+		deep = `<item id="i0"><location>l</location><quantity>1</quantity><name>n</name><payment>p</payment>` +
+			`<description><text>t</text></description><shipping>s</shipping><incategory category="c0"/>` +
+			`<mailbox><mail><from>f</from><to>t</to><date>d</date><text>x</text></mail></mailbox></item>`
+		item = `<item id="i0"><location>`
+	)
+	for _, shape := range []struct {
+		name  string
+		doc   string
+		chase bool
+	}{
+		{"text node", open + item + strings.Repeat("x", 16<<20) + "</location>" + deep[len(item)+len("l</location>"):] + close, false},
+		{"deepest nesting", open + strings.Repeat(deep, (2<<20)/len(deep)) + close, false},
+		{"unterminated tag", open + `<item id="i0"` + strings.Repeat(" a", 8<<20), true},
+	} {
+		doc := []byte(shape.doc)
+		ix := m.BuildIndex(doc)
+		type run struct {
+			outs [][]byte
+			err  error
+			st   Stats
+		}
+		project := func(opts ...ProjectOption) run {
+			bufs := make([]bytes.Buffer, m.Len())
+			dsts := make([]io.Writer, m.Len())
+			for i := range dsts {
+				dsts[i] = &bufs[i]
+			}
+			var r run
+			_, r.err = m.MultiProject(context.Background(), dsts, bytes.NewReader(doc), append(opts, WithStatsInto(&r.st))...)
+			for i := range bufs {
+				r.outs = append(r.outs, bufs[i].Bytes())
+			}
+			return r
+		}
+		serial := project(WithWorkers(1))
+		for _, in := range []struct {
+			name    string
+			workers int
+			run     run
+		}{
+			{"W=1", 1, serial},
+			{"W=2", 2, project(WithWorkers(2))},
+			{"sidecar W=1", 1, project(WithIndex(ix))},
+			{"sidecar W=2", 2, project(WithIndex(ix), WithWorkers(2))},
+		} {
+			if bound := heldBound(m, in.workers, shape.chase); in.run.st.MaxBufferBytes > bound {
+				t.Errorf("%s %s: held %d bytes of segments, want <= %d", shape.name, in.name, in.run.st.MaxBufferBytes, bound)
+			}
+			if fmt.Sprint(in.run.err) != fmt.Sprint(serial.err) {
+				t.Errorf("%s %s: err %v, W=1 err %v", shape.name, in.name, in.run.err, serial.err)
+			}
+			for q := range serial.outs {
+				if !bytes.Equal(in.run.outs[q], serial.outs[q]) {
+					t.Errorf("%s %s query %d: wrote %d bytes, W=1 %d", shape.name, in.name, q, len(in.run.outs[q]), len(serial.outs[q]))
+				}
+			}
+		}
+		t.Logf("%s: %d bytes, W=1 held %d KiB, err %v", shape.name, len(doc), serial.st.MaxBufferBytes>>10, serial.err)
 	}
 }
 
@@ -227,8 +326,9 @@ type panicWriter struct{}
 func (panicWriter) Write([]byte) (int, error) { panic("destination failed") }
 
 // TestMultiProjectWriterPanicReachesCaller checks that a destination whose
-// Write panics during a W=4 run panics in the caller, as in a serial run,
-// whichever worker was writing it, and that the run's goroutines are gone.
+// Write panics panics in the caller, whichever worker was writing it, and
+// that the run's goroutines are gone: on one worker and on four, scanning
+// and replaying a sidecar.
 func TestMultiProjectWriterPanicReachesCaller(t *testing.T) {
 	m, doc := multiFixture(t, XMark, 6, 512<<10)
 	dsts := make([]io.Writer, m.Len())
@@ -236,16 +336,19 @@ func TestMultiProjectWriterPanicReachesCaller(t *testing.T) {
 		dsts[i] = io.Discard
 	}
 	dsts[3] = panicWriter{}
+	ix := m.BuildIndex(doc)
 	for _, workers := range []int{1, 4} {
-		before := runtime.NumGoroutine()
-		got := func() (r any) {
-			defer func() { r = recover() }()
-			m.MultiProject(context.Background(), dsts, bytes.NewReader(doc), WithWorkers(workers), WithChunkSize(4<<10))
-			return nil
-		}()
-		if got != "destination failed" {
-			t.Errorf("W=%d: recovered %v, want the destination's panic", workers, got)
+		for input, opts := range map[string][]ProjectOption{"scan": nil, "sidecar": {WithIndex(ix)}} {
+			before := runtime.NumGoroutine()
+			got := func() (r any) {
+				defer func() { r = recover() }()
+				m.MultiProject(context.Background(), dsts, bytes.NewReader(doc), append(opts, WithWorkers(workers), WithChunkSize(4<<10))...)
+				return nil
+			}()
+			if got != "destination failed" {
+				t.Errorf("%s W=%d: recovered %v, want the destination's panic", input, workers, got)
+			}
+			waitGoroutines(t, before)
 		}
-		waitGoroutines(t, before)
 	}
 }
