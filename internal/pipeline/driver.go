@@ -347,5 +347,7 @@ func (d *driver) write(k *qrun, p []byte) {
 		d.stitchDur += time.Since(t0)
 	}
 	k.stats.BytesWritten += int64(n)
-	k.writeErr = err
+	if err != nil {
+		k.writeErr = err
+	}
 }

@@ -55,6 +55,7 @@ type pool struct {
 	terminal  error
 	panicked  any // a destination's panic, re-raised on the caller's goroutine
 	slots     []slot
+	next      int // the slot pick searches first
 	groupBusy []bool
 	held      int
 	maxHeld   int
@@ -153,10 +154,13 @@ func (p *pool) work(w int) {
 			}
 		}
 		if !p.stopped {
-			// Cutting a stored stream costs next to nothing, so it runs
-			// ahead to the lookahead and each replay task takes several
-			// segments; a scan waits until no replay is claimable.
-			if p.in.replay && p.canProduce() {
+			// Cutting a stored stream costs next to nothing, so with
+			// workers contending for the mutex it runs ahead to the
+			// lookahead and each replay task takes several segments. One
+			// worker, and every scan, cuts only when no replay is
+			// claimable, so a segment's candidates stay in cache across
+			// the K replays.
+			if p.in.replay && len(p.drivers) > 1 && p.canProduce() {
 				p.produce(w)
 				continue
 			}
@@ -208,10 +212,14 @@ func (p *pool) anyLive() bool {
 
 // pick returns the claimable query furthest behind, or -1: live, unclaimed,
 // its destination free, and a scanned segment to replay — or, if it
-// yielded, the input it waited for cut.
+// yielded, the input it waited for cut. The search starts after the last
+// pick and stops at a query on the oldest held segment, which nobody is
+// behind, so K queries stepped in turn cost K short searches, not K².
 func (p *pool) pick() int {
-	best := -1
-	for i := range p.slots {
+	best, n := -1, len(p.slots)
+search:
+	for j := 0; j < n; j++ {
+		i := (p.next + j) % n
 		s := &p.slots[i]
 		switch {
 		case !s.live || s.claimed || p.groupBusy[s.group]:
@@ -219,7 +227,13 @@ func (p *pool) pick() int {
 		case s.wait < 0 && p.ready <= s.seg:
 		case best < 0 || s.seg < p.slots[best].seg:
 			best = i
+			if s.seg == p.first {
+				break search
+			}
 		}
+	}
+	if best >= 0 {
+		p.next = (best + 1) % n
 	}
 	return best
 }
@@ -335,11 +349,13 @@ func (p *pool) produce(w int) {
 }
 
 // retire drops the scanned head segments no live or claimed query still
-// needs, recycling their buffers.
+// needs, recycling their buffers. The search starts at the query pick
+// tries next, the likeliest to be behind.
 func (p *pool) retire() {
+	n := len(p.slots)
 	for p.first < p.ready {
-		for i := range p.slots {
-			if s := &p.slots[i]; (s.live || s.claimed) && s.seg <= p.first {
+		for j := 0; j < n; j++ {
+			if s := &p.slots[(p.next+j)%n]; (s.live || s.claimed) && s.seg <= p.first {
 				return
 			}
 		}
