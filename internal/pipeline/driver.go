@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"cmp"
 	"errors"
 	"io"
 	"time"
@@ -156,7 +157,9 @@ func (d *driver) advance(k *qrun) bool {
 func (d *driver) selectCandidate(k *qrun, c *core.Candidate) bool {
 	tagEnd, bachelor, err := d.resolveTagEnd(k, c)
 	if err == nil && tagEnd >= d.end {
-		err = d.pastEnd()
+		// Pending while the input goes on; a resolved tag cannot end past
+		// the input's end.
+		err = cmp.Or(d.terminal, io.ErrUnexpectedEOF)
 	}
 	if err == errPending {
 		return false
@@ -209,16 +212,6 @@ func (d *driver) fail(k *qrun, pos int64, err error) {
 	if k.writeErr != nil {
 		k.err = k.writeErr
 	}
-}
-
-// pastEnd reports why a step cannot read past the snapshot: errPending
-// while the input goes on, else the input's terminal error or, at a clean
-// end, io.ErrUnexpectedEOF (which a resolved tag end cannot reach).
-func (d *driver) pastEnd() error {
-	if d.terminal != nil {
-		return d.terminal
-	}
-	return io.ErrUnexpectedEOF
 }
 
 // resolveTagEnd returns the candidate's tag end, resuming the scan across

@@ -341,10 +341,12 @@ func (e *Engine) run(ctx context.Context, dsts []io.Writer, in *input, opts Opti
 		return Result{}, fmt.Errorf("pipeline: %d destinations for %d queries", len(dsts), len(e.plans))
 	}
 	workers := max(opts.Workers, 1)
-	in.segSize, in.overlap = e.sizing(workers, opts)
 	if in.replay {
+		// Chunk-sized at every W, and no lookahead: stored candidates are
+		// resolved.
 		in.segSize, _ = e.sizing(1, opts)
-		in.overlap = 0
+	} else {
+		in.segSize, in.overlap = e.sizing(workers, opts)
 	}
 	return newPool(ctx, e, dsts, in, workers, opts.Trace).run()
 }
