@@ -127,8 +127,8 @@ func heldBound(m *MultiPrefilter, workers int, chase bool) int64 {
 // and write the same bytes and errors as the W=1 scan.
 func boundMemoryOnShapes(t *testing.T, m *MultiPrefilter) {
 	const (
-		open  = `<site><regions><africa>`
-		close = `</africa><asia></asia><australia></australia><europe></europe><namerica></namerica><samerica></samerica></regions>` +
+		open = `<site><regions><africa>`
+		rest = `</africa><asia></asia><australia></australia><europe></europe><namerica></namerica><samerica></samerica></regions>` +
 			`<categories><category id="c0"><name>n</name><description><text>t</text></description></category></categories>` +
 			`<catgraph></catgraph><people></people><open_auctions></open_auctions><closed_auctions></closed_auctions></site>`
 		deep = `<item id="i0"><location>l</location><quantity>1</quantity><name>n</name><payment>p</payment>` +
@@ -141,8 +141,8 @@ func boundMemoryOnShapes(t *testing.T, m *MultiPrefilter) {
 		doc   string
 		chase bool
 	}{
-		{"text node", open + item + strings.Repeat("x", 16<<20) + "</location>" + deep[len(item)+len("l</location>"):] + close, false},
-		{"deepest nesting", open + strings.Repeat(deep, (2<<20)/len(deep)) + close, false},
+		{"text node", open + item + strings.Repeat("x", 16<<20) + "</location>" + deep[len(item)+len("l</location>"):] + rest, false},
+		{"deepest nesting", open + strings.Repeat(deep, (2<<20)/len(deep)) + rest, false},
 		{"unterminated tag", open + `<item id="i0"` + strings.Repeat(" a", 8<<20), true},
 	} {
 		doc := []byte(shape.doc)
